@@ -27,6 +27,7 @@ from .optics import (
     HomodyneChannel,
     OpaSource,
     PerfectSplitter,
+    linewidth_from_finesse,
 )
 
 __all__ = [
@@ -245,8 +246,7 @@ def _parse_splitter(section: _Section | None):
         length = section.number(
             "round_trip_length_m", minimum=0.0, exclusive_minimum=True
         )
-        fsr = 299792458.0 / length
-        hwhm = fsr / finesse / 2.0
+        hwhm = linewidth_from_finesse(length, finesse) / 2.0
     loss = section.number(
         "loss", default=0.0, minimum=0.0, maximum=1.0, exclusive_maximum=True
     )

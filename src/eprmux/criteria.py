@@ -16,12 +16,11 @@ demonstrating the paradox below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, ppt_min_symplectic_eigenvalue, project_quadrature
+from .gaussian import GaussianState, ppt_min_symplectic_eigenvalue
 from .optics import ChainResult, ChainScenario, HomodyneChannel, OpaSource, PerfectSplitter, run_chain
 
 __all__ = [
@@ -122,9 +121,6 @@ def epr_product_from_variances(v_sq: float, v_anti: float) -> float:
     return (v_sq * v_anti / mean_v) ** 2
 
 
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
 def _rot90(coeffs: np.ndarray) -> np.ndarray:
     out = np.empty_like(coeffs)
     out[0::2] = -coeffs[1::2]
@@ -173,7 +169,7 @@ def extract_moments(
 
 @dataclass(frozen=True)
 class OptimalAngles:
-    """Result of the quadrature-angle search.
+    """Result of the quadrature-angle optimization.
 
     ``v_diff`` is the minimized difference variance ``V(X_A - X_B)`` of the
     two unit-normalized site quadratures; two vacua give 2.
@@ -184,92 +180,57 @@ class OptimalAngles:
     v_diff: float
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a < tol:
-            return (a + b) / 2.0
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    raise ConvergenceError("golden-section search failed to bracket a minimum")
-
-
 def optimize_duan_angles(
     cov: np.ndarray,
     site_a: tuple[np.ndarray, np.ndarray],
     site_b: tuple[np.ndarray, np.ndarray],
-    grid_step_deg: float = 1.0,
-    tol_rad: float = 1e-6,
 ) -> OptimalAngles:
-    """Quadrature angles minimizing V(X_A - X_B).
+    """Quadrature angles minimizing V(X_A - X_B), in closed form.
 
     Args:
         cov: Covariance matrix of the measured state.
         site_a, site_b: Pairs ``(u0, u1)`` of projection vectors at angle 0
             and 90 degrees for each site; the projection at angle t is
             ``cos(t) u0 + sin(t) u1``.
-        grid_step_deg: Step of the initial exhaustive grid scan.
-        tol_rad: Angular tolerance of the golden-section refinement.
 
-    The difference variance is a quadratic form in
-    ``(cos ta, sin ta, cos tb, sin tb)``, precomputed once so the grid scan
-    stays cheap.  Angles are reported modulo pi (X at t + pi is -X).
+    The difference variance is the quadratic form ``q = g^T cov g`` in
+    ``(cos ta, sin ta, cos tb, sin tb)``.  A stationary sideband pair gives
+    it the structure ``q00 = q11``, ``q22 = q33``, ``q01 = q23 = 0``,
+    ``q13 = -q02`` and ``q12 = q03`` (the circularity that
+    :func:`eprmux.mcdsp.build_synthesis_spec` also asserts), so that
+
+        V(ta, tb) = q00 + q22 + 2 (q02 cos(ta + tb) + q03 sin(ta + tb)).
+
+    The minimum ``q00 + q22 - 2 hypot(q02, q03)`` is reached on the whole
+    valley ``ta + tb = s`` with ``s = (atan2(q03, q02) + pi) mod 2 pi``;
+    the reported point is ``ta = tb = s / 2``, both in ``[0, pi)``.  I, E
+    and the inference gains are the same everywhere on the valley.
+
+    Raises:
+        ValueError: if ``q`` lacks the stationary-pair structure, naming
+            the largest defect.
     """
     g = np.stack([site_a[0], site_a[1], -site_b[0], -site_b[1]], axis=1)
     q = g.T @ np.asarray(cov, dtype=float) @ g
-
-    def v_diff(ta, tb):
-        ca, sa = np.cos(ta), np.sin(ta)
-        cb, sb = np.cos(tb), np.sin(tb)
-        return (
-            q[0, 0] * ca * ca
-            + q[1, 1] * sa * sa
-            + q[2, 2] * cb * cb
-            + q[3, 3] * sb * sb
-            + 2 * q[0, 1] * ca * sa
-            + 2 * q[2, 3] * cb * sb
-            + 2 * q[0, 2] * ca * cb
-            + 2 * q[0, 3] * ca * sb
-            + 2 * q[1, 2] * sa * cb
-            + 2 * q[1, 3] * sa * sb
+    defects = {
+        "q00 != q11": abs(q[0, 0] - q[1, 1]),
+        "q22 != q33": abs(q[2, 2] - q[3, 3]),
+        "q01 != 0": abs(q[0, 1]),
+        "q23 != 0": abs(q[2, 3]),
+        "q13 != -q02": abs(q[1, 3] + q[0, 2]),
+        "q12 != q03": abs(q[1, 2] - q[0, 3]),
+    }
+    worst = max(defects, key=defects.get)
+    if defects[worst] > 1e-9 * max(1.0, float(np.max(np.abs(q)))):
+        raise ValueError(
+            f"difference variance lacks the stationary-pair structure: {worst} "
+            f"(defect {defects[worst]:.3e})"
         )
-
-    step = math.radians(grid_step_deg)
-    grid = np.arange(0.0, math.pi, step)
-    ta_grid, tb_grid = np.meshgrid(grid, grid, indexing="ij")
-    values = v_diff(ta_grid, tb_grid)
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    ta, tb = float(grid[i]), float(grid[j])
-
-    prev = float(values[i, j])
-    for _ in range(100):
-        new_ta = _golden_min(lambda t: v_diff(t, tb), ta - step, ta + step, tol_rad / 4)
-        new_tb = _golden_min(lambda t: v_diff(new_ta, t), tb - step, tb + step, tol_rad / 4)
-        moved = max(abs(new_ta - ta), abs(new_tb - tb))
-        ta, tb = new_ta, new_tb
-        cur = float(v_diff(ta, tb))
-        # A value plateau also counts as converged: along a degenerate valley
-        # (or for the vacuum) the coordinates can wander without changing the
-        # objective.
-        if moved < tol_rad or abs(prev - cur) <= 1e-13 * max(1.0, abs(prev)):
-            break
-        prev = cur
-    else:
-        raise ConvergenceError("angle refinement did not converge")
-    ta %= math.pi
-    tb %= math.pi
-    return OptimalAngles(theta_a=ta, theta_b=tb, v_diff=float(v_diff(ta, tb)))
+    valley = (math.atan2(q[0, 3], q[0, 2]) + math.pi) % (2.0 * math.pi)
+    v_diff = q[0, 0] + q[2, 2] - 2.0 * math.hypot(q[0, 2], q[0, 3])
+    return OptimalAngles(
+        theta_a=valley / 2.0, theta_b=valley / 2.0, v_diff=float(v_diff)
+    )
 
 
 @dataclass(frozen=True)
@@ -288,28 +249,21 @@ class EntanglementReport:
     moments: JointSecondMoments
 
 
-def evaluate_chain(
-    result: ChainResult,
-    optimize_angles: bool = True,
-    grid_step_deg: float = 1.0,
-) -> EntanglementReport:
+def evaluate_chain(result: ChainResult) -> EntanglementReport:
     """Entanglement report for a propagated chain.
 
-    With ``optimize_angles`` the local-oscillator phases of both sites are
-    tuned to minimize ``V(X_A - X_B)`` before the criteria are evaluated;
-    the reported angles are offsets from the scenario's LO phases.
+    The local-oscillator phases of both sites are first tuned to minimize
+    ``V(X_A - X_B)`` by :func:`optimize_duan_angles`; the reported angles
+    are offsets from the scenario's LO phases, at the documented point
+    ``theta_a = theta_b`` of the optimal valley.
     """
     state = result.state
-    if optimize_angles:
-        best = optimize_duan_angles(
-            state.cov,
-            (result.alice_x, result.alice_xp),
-            (result.bob_x, result.bob_xp),
-            grid_step_deg=grid_step_deg,
-        )
-        ta, tb = best.theta_a, best.theta_b
-    else:
-        ta = tb = 0.0
+    best = optimize_duan_angles(
+        state.cov,
+        (result.alice_x, result.alice_xp),
+        (result.bob_x, result.bob_xp),
+    )
+    ta, tb = best.theta_a, best.theta_b
     a_x = math.cos(ta) * result.alice_x + math.sin(ta) * result.alice_xp
     a_xp = -math.sin(ta) * result.alice_x + math.cos(ta) * result.alice_xp
     b_x = math.cos(tb) * result.bob_x + math.sin(tb) * result.bob_xp
@@ -337,17 +291,9 @@ def evaluate_chain(
     )
 
 
-def evaluate_scenario(
-    scenario: ChainScenario,
-    optimize_angles: bool = True,
-    grid_step_deg: float = 1.0,
-) -> EntanglementReport:
+def evaluate_scenario(scenario: ChainScenario) -> EntanglementReport:
     """Run a chain scenario and evaluate the entanglement criteria."""
-    return evaluate_chain(
-        run_chain(scenario),
-        optimize_angles=optimize_angles,
-        grid_step_deg=grid_step_deg,
-    )
+    return evaluate_chain(run_chain(scenario))
 
 
 def lumped_channel_scenario(
@@ -396,30 +342,31 @@ class FitResult:
     iterations: int
 
 
+# Residual norm at which the measurement fit stops, and its iteration budget.
+_FIT_TOL = 1e-6
+_FIT_MAX_ITER = 60
+
+
 def _feasibility_bounds(target_i: float) -> tuple[float, float]:
     """(min, sup) of attainable E at a given inseparability."""
     e_pure = (2.0 * target_i / (1.0 + target_i**2)) ** 2
     return e_pure, 4.0 * target_i**2
 
 
-def fit_to_measurements(
-    target_i: float,
-    target_e: float,
-    scenario_factory: Callable[[float, float], ChainScenario] = lumped_channel_scenario,
-    tol: float = 1e-6,
-    max_iter: int = 60,
-) -> FitResult:
+def fit_to_measurements(target_i: float, target_e: float) -> FitResult:
     """Find pump parameter and lumped efficiency reproducing (I, E).
 
-    A damped Newton iteration drives the forward-simulated ``(I, E)`` onto
-    the targets.  Measured values map to effective squeezed/antisqueezed
-    variances ``v_sq = I`` and ``v_anti = sqrt(E) v_sq / (2 v_sq - sqrt(E))``
-    under the symmetric lumped-loss model, which also provides the starting
-    point.
+    Measured values map to effective squeezed/antisqueezed variances
+    ``v_sq = I`` and ``v_anti = sqrt(E) v_sq / (2 v_sq - sqrt(E))`` under
+    the symmetric lumped-loss model of :func:`lumped_channel_scenario`.
+    That closed form gives the starting point, which usually meets the
+    tolerance already; a damped Newton iteration on the forward-simulated
+    ``(I, E)`` polishes targets where it does not, e.g. next to the E
+    ceiling.  The last forward evaluation is the reported one.
 
     Raises:
         InfeasibleTargetError: if no ``(x, eta)`` can reach the targets.
-        ConvergenceError: if the iteration stalls above ``tol``.
+        ConvergenceError: if the iteration stalls above the tolerance.
     """
     if not 0.0 < target_i <= 1.0:
         raise InfeasibleTargetError(
@@ -431,7 +378,7 @@ def fit_to_measurements(
             raise InfeasibleTargetError(
                 "inseparability 1 admits only the vacuum with E = 1"
             )
-        scenario = scenario_factory(0.0, 1.0)
+        scenario = lumped_channel_scenario(0.0, 1.0)
         return FitResult(0.0, 1.0, scenario, evaluate_scenario(scenario), 0.0, 0)
     if not e_lo - 1e-12 <= target_e < e_hi:
         raise InfeasibleTargetError(
@@ -447,18 +394,21 @@ def fit_to_measurements(
     eta = min(1.0, (1.0 - target_i) / (1.0 - v_sq0))
     x = (1.0 - math.sqrt(v_sq0)) / (1.0 + math.sqrt(v_sq0))
 
-    def forward(p: np.ndarray) -> np.ndarray:
-        rep = evaluate_scenario(scenario_factory(float(p[0]), float(p[1])))
+    def forward(p: np.ndarray) -> EntanglementReport:
+        return evaluate_scenario(lumped_channel_scenario(float(p[0]), float(p[1])))
+
+    def values(rep: EntanglementReport) -> np.ndarray:
         return np.array([rep.inseparability, rep.epr_product])
 
     target = np.array([target_i, target_e])
     p = np.array([x, eta])
     lo = np.array([0.0, 1e-6])
     hi = np.array([1.0 - 1e-9, 1.0])
-    resid = forward(p) - target
+    report = forward(p)
+    resid = values(report) - target
     iterations = 0
-    while np.linalg.norm(resid) > tol:
-        if iterations >= max_iter:
+    while np.linalg.norm(resid) > _FIT_TOL:
+        if iterations >= _FIT_MAX_ITER:
             raise ConvergenceError(
                 f"fit stalled at residual {np.linalg.norm(resid):.3e} "
                 f"after {iterations} iterations"
@@ -470,7 +420,9 @@ def fit_to_measurements(
             dp[k] = h
             p_up = np.clip(p + dp, lo, hi)
             p_dn = np.clip(p - dp, lo, hi)
-            jac[:, k] = (forward(p_up) - forward(p_dn)) / (p_up[k] - p_dn[k])
+            jac[:, k] = (values(forward(p_up)) - values(forward(p_dn))) / (
+                p_up[k] - p_dn[k]
+            )
         try:
             step = np.linalg.solve(jac, -resid)
         except np.linalg.LinAlgError as exc:
@@ -478,9 +430,10 @@ def fit_to_measurements(
         damp = 1.0
         for _ in range(25):
             cand = np.clip(p + damp * step, lo, hi)
-            cand_resid = forward(cand) - target
+            cand_report = forward(cand)
+            cand_resid = values(cand_report) - target
             if np.linalg.norm(cand_resid) < np.linalg.norm(resid):
-                p, resid = cand, cand_resid
+                p, report, resid = cand, cand_report, cand_resid
                 break
             damp /= 2.0
         else:
@@ -488,12 +441,11 @@ def fit_to_measurements(
                 f"fit cannot reduce residual {np.linalg.norm(resid):.3e}"
             )
         iterations += 1
-    scenario = scenario_factory(float(p[0]), float(p[1]))
     return FitResult(
         pump_parameter=float(p[0]),
         efficiency=float(p[1]),
-        scenario=scenario,
-        report=evaluate_scenario(scenario),
+        scenario=lumped_channel_scenario(float(p[0]), float(p[1])),
+        report=report,
         residual=float(np.linalg.norm(resid)),
         iterations=iterations,
     )

@@ -32,7 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as _signal
 
-from .criteria import optimize_duan_angles
+from .criteria import (
+    JointSecondMoments,
+    duan_inseparability,
+    optimize_duan_angles,
+    reid_epr,
+)
 from .optics import ChainResult, ChainScenario, demod_projection, run_chain
 
 __all__ = [
@@ -220,16 +225,23 @@ def build_synthesis_spec(
     s_bb = (v_ib + v_qb) / 2.0
     s_ab = complex((c_ii + c_qq) / 2.0, (c_iq - c_qi) / 2.0)
     sign = +1 if s_ab.real >= 0 else -1
-    model_i = 0.5 * (s_aa + s_bb) - sign * s_ab.real
-    u = s_aa - s_ab.real**2 / s_bb
-    w = s_aa - s_ab.real**2 / s_bb
+    # The signed combinations I_A - sign I_B and Q_A - sign Q_B play the
+    # roles of X_A - X_B and Xp_A + Xp_B in the criteria.
+    moments = JointSecondMoments(
+        v_xa=s_aa,
+        v_xpa=s_aa,
+        v_xb=s_bb,
+        v_xpb=s_bb,
+        c_x=sign * s_ab.real,
+        c_xp=-sign * s_ab.real,
+    )
     return NoiseSynthesisSpec(
         s_aa=s_aa,
         s_bb=s_bb,
         s_ab=s_ab,
         correlation_sign=sign,
-        model_inseparability=model_i,
-        model_epr=u * w,
+        model_inseparability=duan_inseparability(moments),
+        model_epr=reid_epr(moments)[0],
     )
 
 

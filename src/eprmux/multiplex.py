@@ -186,17 +186,17 @@ def validate_plan(
     Raises:
         GeometryError: if two channels' occupancies overlap.
     """
-    for a in plan.channels:
-        for b in plan.channels:
-            if a.index >= b.index:
-                continue
-            gap = abs(a.center_hz - b.center_hz)
-            if gap < 2.0 * plan.detection_bandwidth_hz:
-                raise GeometryError(
-                    f"channels {a.index} and {b.index} overlap: centers "
-                    f"{a.center_hz} and {b.center_hz} Hz closer than the "
-                    f"occupancy width"
-                )
+    # Centres come from float arithmetic, so allow a rounding slack far
+    # below any physical frequency scale.
+    ordered = sorted(plan.channels, key=lambda ch: ch.center_hz)
+    slack = 1e-12 * max((abs(ch.center_hz) for ch in ordered), default=0.0)
+    for a, b in zip(ordered, ordered[1:]):
+        if b.center_hz - a.center_hz < 2.0 * plan.detection_bandwidth_hz - slack:
+            raise GeometryError(
+                f"channels {a.index} and {b.index} overlap: centers "
+                f"{a.center_hz} and {b.center_hz} Hz closer than the "
+                f"occupancy width"
+            )
     if not plan.channels:
         return PlanValidation(reports=(), max_cross_channel_cov=0.0)
 

@@ -217,6 +217,15 @@ class TestPlanCommand:
         assert run_cli(["plan", "--band", "10e6:4e6", "--detbw", "5e5"]) == 3
         assert "band" in capsys.readouterr().err
 
+    def test_guardless_plan_validates_despite_rounded_centres(self, capsys):
+        # With this lower edge the computed centres of channels 0 and 1 sit
+        # 4.7e-10 Hz (one ulp of the first centre) closer than twice the
+        # detection bandwidth.
+        band = "3577199.4577184212:9677199.457718421"
+        rc = run_cli(["plan", "--band", band, "--detbw", "5e5", "--validate"])
+        assert rc == 0, capsys.readouterr().err
+        assert yaml.safe_load(capsys.readouterr().out)["n_channels"] == 6
+
     def test_validated_csv_has_one_row_per_channel(self, capsys):
         rc = run_cli(
             [

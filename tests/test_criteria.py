@@ -14,6 +14,7 @@ from eprmux.criteria import (
     JointSecondMoments,
     duan_inseparability,
     epr_product_from_variances,
+    evaluate_chain,
     evaluate_scenario,
     extract_moments,
     fit_to_measurements,
@@ -22,6 +23,7 @@ from eprmux.criteria import (
     reid_epr,
 )
 from eprmux.gaussian import project_quadrature
+from eprmux.mcdsp import build_synthesis_spec
 from eprmux.optics import (
     ChainScenario,
     FilterCavity,
@@ -163,6 +165,140 @@ class TestAngleSearch:
         v_d = project_quadrature(res.state, s2 * (a_x - b_x))
         v_s = project_quadrature(res.state, s2 * (a_xp + b_xp))
         assert (v_d + v_s) / 2 == pytest.approx(rep.inseparability, rel=1e-9)
+
+
+def random_chain(rng, kind):
+    """Random single-channel chain with every LO and demod phase uniform.
+
+    Uniform phases put some optimal valleys next to 0 and pi, where the
+    reported angles must not wrap one site's X onto -X.
+    """
+    centre = rng.uniform(3e6, 12e6)
+    demod = rng.uniform(50e3, 500e3)
+    source = OpaSource(
+        pump_parameter=rng.uniform(0.1, 0.8),
+        cavity_hwhm_hz=rng.uniform(5e6, 25e6),
+        efficiency=rng.uniform(0.8, 1.0),
+        added_classical_noise=rng.uniform(0.0, 0.2),
+    )
+    if kind == "none":
+        loss_a = loss_b = rng.uniform(0.0, 0.2)
+        eff_a = eff_b = rng.uniform(0.7, 1.0)
+        splitter = None
+    else:
+        loss_a, loss_b = rng.uniform(0.0, 0.2, 2)
+        eff_a, eff_b = rng.uniform(0.7, 1.0, 2)
+        if kind == "perfect":
+            splitter = PerfectSplitter(
+                center_hz=-centre, halfwidth_hz=demod * rng.uniform(1.5, 5.0)
+            )
+        else:
+            splitter = FilterCavity(
+                detuning_hz=-centre,
+                hwhm_hz=demod * rng.uniform(0.5, 3.0),
+                loss=rng.uniform(0.0, 0.05),
+            )
+    lo_a, demod_a, lo_b, demod_b = rng.uniform(0.0, 2 * math.pi, 4)
+    return ChainScenario(
+        source=source,
+        omega1_hz=centre - demod,
+        omega2_hz=centre + demod,
+        alice=HomodyneChannel(
+            lo_shift_hz=-centre,
+            demod_freq_hz=demod,
+            lo_phase_rad=lo_a,
+            demod_phase_rad=demod_a,
+            efficiency=eff_a,
+        ),
+        bob=HomodyneChannel(
+            lo_shift_hz=+centre,
+            demod_freq_hz=demod,
+            lo_phase_rad=lo_b,
+            demod_phase_rad=demod_b,
+            efficiency=eff_b,
+        ),
+        splitter=splitter,
+        alice_path_loss=loss_a,
+        bob_path_loss=loss_b,
+    )
+
+
+def brute_force_v_diff(cov, site_a, site_b):
+    """Least V(X_A - X_B) over [0, 2 pi)^2: a 1-degree grid, then zooms.
+
+    Uses the general quadratic form, without assuming any structure.
+    """
+    d = np.stack([site_a[0], site_a[1], -site_b[0], -site_b[1]], axis=1)
+    q = d.T @ cov @ d
+
+    def v(ta, tb):
+        c = np.stack([np.cos(ta), np.sin(ta), np.cos(tb), np.sin(tb)])
+        return np.einsum("i...,ij,j...->...", c, q, c)
+
+    step = math.radians(1.0)
+    axis = np.arange(0.0, 2 * math.pi, step)
+    values = v(*np.meshgrid(axis, axis, indexing="ij"))
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    ta, tb = axis[i], axis[j]
+    while step > 1e-8:
+        offsets = np.linspace(-step, step, 21)
+        values = v(*np.meshgrid(ta + offsets, tb + offsets, indexing="ij"))
+        i, j = np.unravel_index(np.argmin(values), values.shape)
+        ta, tb = ta + offsets[i], tb + offsets[j]
+        step /= 10.0
+    return float(values[i, j])
+
+
+def criteria_at(result, ta, tb):
+    """(I, E, gain_x, gain_xp) with the two sites rotated by ta and tb."""
+    a_x = math.cos(ta) * result.alice_x + math.sin(ta) * result.alice_xp
+    a_xp = -math.sin(ta) * result.alice_x + math.cos(ta) * result.alice_xp
+    b_x = math.cos(tb) * result.bob_x + math.sin(tb) * result.bob_xp
+    b_xp = -math.sin(tb) * result.bob_x + math.cos(tb) * result.bob_xp
+    m = extract_moments(result.state, a_x, a_xp, b_x, b_xp)
+    return (duan_inseparability(m), *reid_epr(m))
+
+
+class TestAngleSweep:
+    def test_random_chains_match_brute_force_and_synthesis_spec(self):
+        rng = np.random.default_rng(20070)
+        kinds = ("none", "perfect", "cavity")
+        for k in range(210):
+            scen = random_chain(rng, kinds[k % 3])
+            res = run_chain(scen)
+            site_a = (res.alice_x, res.alice_xp)
+            site_b = (res.bob_x, res.bob_xp)
+            best = optimize_duan_angles(res.state.cov, site_a, site_b)
+            floor = brute_force_v_diff(res.state.cov, site_a, site_b)
+            assert best.v_diff == pytest.approx(floor, abs=1e-9), f"chain {k}"
+            rep = evaluate_scenario(scen)
+            spec = build_synthesis_spec(res, (rep.theta_a, rep.theta_b))
+            assert rep.inseparability == pytest.approx(
+                spec.model_inseparability, abs=1e-9
+            ), f"chain {k}"
+
+    def test_criteria_constant_along_valley(self):
+        rng = np.random.default_rng(5)
+        for kind in ("none", "perfect", "cavity"):
+            res = run_chain(random_chain(rng, kind))
+            rep = evaluate_chain(res)
+            assert rep.theta_a == rep.theta_b
+            assert 0.0 <= rep.theta_a < math.pi
+            expected = (rep.inseparability, rep.epr_product, rep.gain_x, rep.gain_xp)
+            assert criteria_at(res, rep.theta_a, rep.theta_b) == pytest.approx(
+                expected, abs=1e-12
+            )
+            for d in (-2.5, -0.9, 0.3, 1.7, math.pi):
+                moved = criteria_at(res, rep.theta_a + d, rep.theta_b - d)
+                assert moved == pytest.approx(expected, abs=1e-12), (kind, d)
+
+    def test_rejects_covariance_without_pair_structure(self):
+        # One squeezed mode per site: V(X) != V(Xp) breaks q00 = q11.
+        cov = np.diag([0.5, 2.0, 1.0, 1.0])
+        site_a = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
+        site_b = (np.array([0, 0, 1.0, 0]), np.array([0, 0, 0, 1.0]))
+        with pytest.raises(ValueError, match="q00 != q11"):
+            optimize_duan_angles(cov, site_a, site_b)
 
 
 class TestMonotonicity:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from eprmux.multiplex import ChannelPlan, plan_multiplex, validate_plan
+from eprmux.multiplex import ChannelPlan, MultiplexPlan, plan_multiplex, validate_plan
 from eprmux.optics import GeometryError, OpaSource
 
 
@@ -99,6 +99,20 @@ class TestValidation:
             channels=(squeezed, clash),
         )
         with pytest.raises(GeometryError, match="overlap"):
+            validate_plan(bad, self.source)
+
+    def test_channels_one_hz_too_close_rejected(self):
+        detbw = 0.5e6
+        first = ChannelPlan(index=0, center_hz=4.5e6, demod_hz=2e5)
+        second = ChannelPlan(index=1, center_hz=4.5e6 + 2 * detbw - 1.0, demod_hz=2e5)
+        bad = MultiplexPlan(
+            band_hz=(4e6, 10e6),
+            detection_bandwidth_hz=detbw,
+            guard_hz=0.0,
+            demod_hz=2e5,
+            channels=(second, first),
+        )
+        with pytest.raises(GeometryError, match="channels 0 and 1 overlap"):
             validate_plan(bad, self.source)
 
     def test_empty_plan_validates_to_nothing(self):
