@@ -1,10 +1,15 @@
 """Tests for noise synthesis, the demodulation pipeline, and the estimator."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eprmux
+from eprmux import mcdsp
 from eprmux.criteria import lumped_channel_scenario
 from eprmux.mcdsp import (
     DspConfig,
@@ -16,11 +21,34 @@ from eprmux.mcdsp import (
     read_records,
     run_montecarlo,
     synthesize_records,
+    vacuum_synthesis_spec,
     write_records,
 )
 from eprmux.optics import run_chain
 
 QUICK = DspConfig(duration_s=0.25)
+
+# Records of 700 000 samples, not a whole number of demodulation blocks,
+# whose 300 000-sample transient discard ends past the first block boundary;
+# decimation 3 does not divide the block length either.
+STRADDLING = [
+    DspConfig(duration_s=0.35, transient_discard_s=0.15, decimation=3),
+    DspConfig(duration_s=0.35, transient_discard_s=0.15, decimation=1),
+]
+
+
+def _skip(config):
+    return int(round(config.transient_discard_s * config.sample_rate_hz))
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this eprmux."""
+    src = os.path.dirname(os.path.dirname(eprmux.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
 
 
 def white_spec(s_aa=1.0, s_bb=1.0, s_ab=0j):
@@ -155,6 +183,32 @@ class TestDemodulation:
         np.testing.assert_array_equal(i_two, 2.0 * i_one)
         np.testing.assert_array_equal(q_two, 2.0 * q_one)
 
+    @pytest.mark.parametrize(
+        "config", [DspConfig(duration_s=0.1), QUICK, *STRADDLING], ids=repr
+    )
+    def test_block_streaming_equals_one_filter_pass(self, config):
+        from scipy import signal as sps
+
+        block = mcdsp._DEMOD_BLOCK
+        assert config.n_samples % block != 0
+        record = np.random.default_rng(17).standard_normal(config.n_samples)
+        sos = sps.butter(
+            config.lpf_order,
+            config.lpf_cutoff_hz,
+            btype="low",
+            fs=config.sample_rate_hz,
+            output="sos",
+        )
+        t = np.arange(config.n_samples)
+        phase = (2.0 * math.pi * config.demod_freq_hz / config.sample_rate_hz) * t
+        scaled = math.sqrt(2.0) * record
+        skip = _skip(config)
+        i_ref = sps.sosfilt(sos, scaled * np.cos(phase))[skip :: config.decimation]
+        q_ref = sps.sosfilt(sos, scaled * np.sin(phase))[skip :: config.decimation]
+        i_series, q_series = demodulate_and_filter(record, config)
+        np.testing.assert_array_equal(i_series, i_ref)
+        np.testing.assert_array_equal(q_series, q_ref)
+
     def test_white_noise_variance_follows_filter_enbw(self):
         # White input of variance v keeps a flat two-sided level v/fs after
         # the sqrt(2) mixers, so each output variance is v * 2 * ENBW / fs
@@ -271,6 +325,11 @@ class TestEstimator:
         with pytest.raises(ValueError, match="length"):
             estimate_entanglement((x, x, x, x[:50]), (x, x, x, x), +1)
 
+    def test_mismatched_vacuum_series_rejected(self):
+        x = np.ones(100)
+        with pytest.raises(ValueError, match="vacuum series"):
+            estimate_entanglement((x, x, x, x), (x, x, x[:50], x), +1)
+
 
 class TestMonteCarlo:
     def test_mini_closure_on_the_reference_channel(self):
@@ -299,6 +358,84 @@ class TestMonteCarlo:
         run = run_montecarlo(scen, cfg, n_trials=3, seed=20)
         solo = run_montecarlo(scen, cfg, n_trials=1, seed=22)
         assert run.trials[2] == solo.trials[0]
+
+
+class TestTrialPipeline:
+    """The concurrent trial pipeline against the serial public functions."""
+
+    @pytest.mark.parametrize("config", STRADDLING, ids=repr)
+    def test_trials_equal_the_serial_public_composition(self, config):
+        block = mcdsp._DEMOD_BLOCK
+        assert config.n_samples % block != 0
+        assert _skip(config) > block and _skip(config) % block != 0
+        scen = lumped_channel_scenario(0.6726, 0.6135)
+        run = run_montecarlo(scen, config, n_trials=2, seed=31)
+        for k, trial in enumerate(run.trials):
+            rng = np.random.default_rng(31 + k)
+            signal = synthesize_records(run.spec, config, rng)
+            vacuum = synthesize_records(vacuum_synthesis_spec(), config, rng)
+            expected = estimate_entanglement(
+                demod_all(signal, config),
+                demod_all(vacuum, config),
+                run.spec.correlation_sign,
+            )
+            assert trial == expected
+
+    def test_trials_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # More workers than cores and a short switch interval interleave the
+        # jobs as much as possible; one worker runs them in order.
+        scen = lumped_channel_scenario(0.6726, 0.6135)
+        runs = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 8):
+                monkeypatch.setattr(mcdsp, "_pool_size", lambda: workers)
+                runs[workers] = run_montecarlo(scen, QUICK, n_trials=3, seed=61).trials
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[8] == runs[1]
+
+    def test_run_builds_carriers_and_filter_once(self, monkeypatch):
+        builds = {"carriers": 0, "filter": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                builds[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(mcdsp, "_carrier_cache", {})
+        monkeypatch.setattr(
+            mcdsp, "_build_carriers", counted("carriers", mcdsp._build_carriers)
+        )
+        monkeypatch.setattr(mcdsp, "_lowpass_sos", counted("filter", mcdsp._lowpass_sos))
+        scen = lumped_channel_scenario(0.5, 0.8)
+        run = run_montecarlo(scen, DspConfig(duration_s=0.1), n_trials=3, seed=5)
+        assert len(run.trials) == 3
+        assert builds == {"carriers": 1, "filter": 1}
+
+    def test_ten_second_trial_stays_under_1800_mib(self):
+        # Peak memory grows by about 460 MiB per worker thread, so the
+        # child keeps at most two cores, the size this bound is set for.
+        code = (
+            "import os, resource\n"
+            "if hasattr(os, 'sched_setaffinity'):\n"
+            "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+            "import eprmux\n"
+            "fit = eprmux.fit_to_measurements(0.41, 0.64)\n"
+            "eprmux.run_montecarlo(fit.scenario, eprmux.DspConfig(duration_s=10.0),"
+            " n_trials=1, seed=101000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        peak_mib = int(_run_python(code)) / 1024.0
+        assert peak_mib < 1800.0, f"peak RSS {peak_mib:.0f} MiB"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, eprmux\nprint('scipy.signal' in sys.modules)\n"
+    assert _run_python(code).strip() == "False"
 
 
 class TestRecordFiles:
