@@ -1,22 +1,28 @@
 """Configuration files: strict parsing, validation, and serialization.
 
 A run is described by one YAML document with nested sections.  Parsing is
-strict: every key is checked for type and range, unknown keys are rejected
-with the section that owns them, and all defaults are materialized into a
-``resolved`` mapping that reports echo verbatim, so a report always shows
-the exact numbers the run used.
+strict: every key is checked for type and range, and unknown keys are
+rejected with the section that owns them.
 
 Frequencies are plain floats in Hz.  Decibel input is accepted only through
 the explicitly suffixed ``squeezing_db`` field and converted to the pump
 parameter once, at parse time.  The source ``bandwidth_hz`` is interpreted
 per ``bandwidth_convention`` (``fwhm`` by default, ``hwhm`` alternatively);
-``.inf`` gives a frequency-flat source.
+``.inf`` gives a frequency-flat source.  A cavity splitter takes exactly one
+of ``hwhm_hz``, ``linewidth_hz`` (FWHM) and ``finesse`` with
+``round_trip_length_m``.
+
+A run is serialized once, from the objects parsing built: ``resolved``, the
+mapping that reports echo, is :func:`scenario_mapping` of the scenario plus
+the Monte-Carlo settings and the seed.  It is the canonical form of the run
+(``pump_parameter``, a FWHM ``bandwidth_hz``, a cavity's ``hwhm_hz``) with
+every default materialized, and it parses back to the same run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import yaml
 
@@ -27,7 +33,7 @@ from .optics import (
     HomodyneChannel,
     OpaSource,
     PerfectSplitter,
-    linewidth_from_finesse,
+    Splitter,
 )
 
 __all__ = [
@@ -54,7 +60,8 @@ class LoadedConfig:
         dsp: Sampling/demodulation settings for Monte-Carlo commands.
         n_trials: Number of Monte-Carlo trials.
         seed: Base seed; trial k uses ``seed + k``.
-        resolved: Echo mapping with every default materialized.
+        resolved: Canonical echo of the run with every default
+            materialized; it parses back to the same run.
     """
 
     scenario: ChainScenario
@@ -166,10 +173,9 @@ def _pump_from_db(squeezing_db: float) -> float:
     return (1.0 - root) / (1.0 + root)
 
 
-def _parse_source(section: _Section) -> tuple[OpaSource, dict]:
+def _parse_source(section: _Section) -> OpaSource:
     has_pump = section.has("pump_parameter")
-    has_db = section.has("squeezing_db")
-    if has_pump == has_db:
+    if has_pump == section.has("squeezing_db"):
         raise ConfigError(
             "scenario.source needs exactly one of 'pump_parameter' and "
             "'squeezing_db'"
@@ -178,17 +184,14 @@ def _parse_source(section: _Section) -> tuple[OpaSource, dict]:
         pump = section.number(
             "pump_parameter", minimum=0.0, maximum=1.0, exclusive_maximum=True
         )
-        db_echo = None
     else:
-        db_echo = section.number("squeezing_db", maximum=0.0)
-        pump = _pump_from_db(db_echo)
+        pump = _pump_from_db(section.number("squeezing_db", maximum=0.0))
     bandwidth = section.number(
         "bandwidth_hz", minimum=0.0, exclusive_minimum=True, allow_inf=True
     )
     convention = section.string(
         "bandwidth_convention", {"fwhm", "hwhm"}, default="fwhm"
     )
-    hwhm = bandwidth / 2.0 if convention == "fwhm" else bandwidth
     efficiency = section.number(
         "efficiency", default=1.0, minimum=0.0, maximum=1.0, exclusive_minimum=True
     )
@@ -197,29 +200,19 @@ def _parse_source(section: _Section) -> tuple[OpaSource, dict]:
         "noise_cutoff_hz", default=4e6, minimum=0.0, exclusive_minimum=True
     )
     section.finish()
-    source = OpaSource(
-        pump_parameter=pump,
-        cavity_hwhm_hz=hwhm,
+    return OpaSource.from_bandwidth(
+        pump,
+        bandwidth,
+        convention,
         efficiency=efficiency,
         added_classical_noise=noise,
         noise_cutoff_hz=cutoff,
     )
-    resolved = {
-        "pump_parameter": pump,
-        "bandwidth_hz": bandwidth,
-        "bandwidth_convention": convention,
-        "efficiency": efficiency,
-        "added_classical_noise": noise,
-        "noise_cutoff_hz": cutoff,
-    }
-    if db_echo is not None:
-        resolved["squeezing_db"] = db_echo
-    return source, resolved
 
 
-def _parse_splitter(section: _Section | None):
+def _parse_splitter(section: _Section | None) -> Splitter | None:
     if section is None:
-        return None, None
+        return None
     kind = section.string("kind", {"perfect", "cavity"})
     if kind == "perfect":
         center = section.number("center_hz")
@@ -227,9 +220,7 @@ def _parse_splitter(section: _Section | None):
             "halfwidth_hz", minimum=0.0, exclusive_minimum=True
         )
         section.finish()
-        splitter = PerfectSplitter(center_hz=center, halfwidth_hz=halfwidth)
-        resolved = {"kind": kind, "center_hz": center, "halfwidth_hz": halfwidth}
-        return splitter, resolved
+        return PerfectSplitter(center_hz=center, halfwidth_hz=halfwidth)
     detuning = section.number("detuning_hz")
     ways = [w for w in ("hwhm_hz", "linewidth_hz", "finesse") if section.has(w)]
     if len(ways) != 1:
@@ -237,31 +228,26 @@ def _parse_splitter(section: _Section | None):
             "scenario.splitter needs exactly one of 'hwhm_hz', 'linewidth_hz' "
             "and 'finesse'"
         )
-    if ways[0] == "hwhm_hz":
-        hwhm = section.number("hwhm_hz", minimum=0.0, exclusive_minimum=True)
-    elif ways[0] == "linewidth_hz":
-        hwhm = section.number("linewidth_hz", minimum=0.0, exclusive_minimum=True) / 2.0
-    else:
+    (way,) = ways
+    if way == "finesse":
         finesse = section.number("finesse", minimum=1.0)
         length = section.number(
             "round_trip_length_m", minimum=0.0, exclusive_minimum=True
         )
-        hwhm = linewidth_from_finesse(length, finesse) / 2.0
+    else:
+        width = section.number(way, minimum=0.0, exclusive_minimum=True)
     loss = section.number(
         "loss", default=0.0, minimum=0.0, maximum=1.0, exclusive_maximum=True
     )
     section.finish()
-    splitter = FilterCavity(detuning_hz=detuning, hwhm_hz=hwhm, loss=loss)
-    resolved = {
-        "kind": kind,
-        "detuning_hz": detuning,
-        "hwhm_hz": hwhm,
-        "loss": loss,
-    }
-    return splitter, resolved
+    if way == "hwhm_hz":
+        return FilterCavity(detuning_hz=detuning, hwhm_hz=width, loss=loss)
+    if way == "linewidth_hz":
+        return FilterCavity.from_linewidth(detuning, width, loss)
+    return FilterCavity.from_finesse(detuning, length, finesse, loss)
 
 
-def _parse_channel(section: _Section) -> tuple[HomodyneChannel, float, dict]:
+def _parse_channel(section: _Section) -> tuple[HomodyneChannel, float]:
     lo_shift = section.number("lo_shift_hz")
     demod = section.number("demod_freq_hz", minimum=0.0, exclusive_minimum=True)
     lo_phase = section.number("lo_phase_rad", default=0.0)
@@ -280,24 +266,14 @@ def _parse_channel(section: _Section) -> tuple[HomodyneChannel, float, dict]:
         demod_phase_rad=demod_phase,
         efficiency=efficiency,
     )
-    resolved = {
-        "lo_shift_hz": lo_shift,
-        "demod_freq_hz": demod,
-        "lo_phase_rad": lo_phase,
-        "demod_phase_rad": demod_phase,
-        "efficiency": efficiency,
-        "path_loss": path_loss,
-    }
-    return channel, path_loss, resolved
+    return channel, path_loss
 
 
-def _parse_scenario(section: _Section) -> tuple[ChainScenario, dict]:
-    source, source_echo = _parse_source(section.child("source", required=True))
-    splitter, splitter_echo = _parse_splitter(section.child("splitter"))
-    alice, alice_loss, alice_echo = _parse_channel(
-        section.child("alice", required=True)
-    )
-    bob, bob_loss, bob_echo = _parse_channel(section.child("bob", required=True))
+def _parse_scenario(section: _Section) -> ChainScenario:
+    source = _parse_source(section.child("source", required=True))
+    splitter = _parse_splitter(section.child("splitter"))
+    alice, alice_loss = _parse_channel(section.child("alice", required=True))
+    bob, bob_loss = _parse_channel(section.child("bob", required=True))
     rbw = section.number(
         "resolution_bandwidth_hz", default=1e5, minimum=0.0, exclusive_minimum=True
     )
@@ -305,7 +281,7 @@ def _parse_scenario(section: _Section) -> tuple[ChainScenario, dict]:
     section.finish()
     omega1, omega2 = sorted(abs(f) for f in alice.addressed_offsets)
     try:
-        scenario = ChainScenario(
+        return ChainScenario(
             source=source,
             omega1_hz=omega1,
             omega2_hz=omega2,
@@ -319,19 +295,9 @@ def _parse_scenario(section: _Section) -> tuple[ChainScenario, dict]:
         )
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
-    resolved = {
-        "source": source_echo,
-        "alice": alice_echo,
-        "bob": bob_echo,
-        "resolution_bandwidth_hz": rbw,
-        "compensate_dispersion": compensate,
-    }
-    if splitter_echo is not None:
-        resolved["splitter"] = splitter_echo
-    return scenario, resolved
 
 
-def _parse_montecarlo(section: _Section | None) -> tuple[DspConfig, int, dict]:
+def _parse_montecarlo(section: _Section | None) -> tuple[DspConfig, int]:
     defaults = DspConfig()
     if section is None:
         section = _Section({}, "montecarlo")
@@ -377,27 +343,21 @@ def _parse_montecarlo(section: _Section | None) -> tuple[DspConfig, int, dict]:
         )
     except ValueError as exc:
         raise ConfigError(f"montecarlo: {exc}") from exc
-    resolved = {
-        "sample_rate_hz": sample_rate,
-        "demod_freq_hz": demod,
-        "lpf_cutoff_hz": cutoff,
-        "lpf_order": order,
-        "decimation": decimation,
-        "duration_s": duration,
-        "transient_discard_s": discard,
-        "n_trials": n_trials,
-    }
-    return dsp, n_trials, resolved
+    return dsp, n_trials
 
 
 def parse_config(mapping) -> LoadedConfig:
     """Validate one already-loaded configuration mapping."""
     top = _Section(mapping, "config")
-    scenario, scenario_echo = _parse_scenario(top.child("scenario", required=True))
-    dsp, n_trials, mc_echo = _parse_montecarlo(top.child("montecarlo"))
+    scenario = _parse_scenario(top.child("scenario", required=True))
+    dsp, n_trials = _parse_montecarlo(top.child("montecarlo"))
     seed = top.integer("seed", default=0, minimum=0)
     top.finish()
-    resolved = {"scenario": scenario_echo, "montecarlo": mc_echo, "seed": seed}
+    resolved = {
+        "scenario": scenario_mapping(scenario)["scenario"],
+        "montecarlo": {**asdict(dsp), "n_trials": n_trials},
+        "seed": seed,
+    }
     return LoadedConfig(
         scenario=scenario, dsp=dsp, n_trials=n_trials, seed=seed, resolved=resolved
     )
@@ -420,50 +380,28 @@ def load_config(path: str) -> LoadedConfig:
 def scenario_mapping(scenario: ChainScenario, seed: int = 0) -> dict:
     """Serialize a chain scenario into a complete configuration mapping.
 
-    The result parses back into an identical scenario, which makes fitted
-    scenarios exchangeable as ordinary configuration files.
+    The mapping is the canonical form of the scenario: ``pump_parameter``,
+    a FWHM ``bandwidth_hz`` and, for a cavity splitter, ``hwhm_hz``.  It
+    parses back into an identical scenario, which makes report echoes and
+    fitted scenarios exchangeable as ordinary configuration files.
     """
     source = scenario.source
-    mapping: dict = {
-        "scenario": {
-            "source": {
-                "pump_parameter": source.pump_parameter,
-                "bandwidth_hz": source.cavity_hwhm_hz * 2.0,
-                "bandwidth_convention": "fwhm",
-                "efficiency": source.efficiency,
-                "added_classical_noise": source.added_classical_noise,
-                "noise_cutoff_hz": source.noise_cutoff_hz,
-            },
-            "alice": _channel_mapping(scenario.alice, scenario.alice_path_loss),
-            "bob": _channel_mapping(scenario.bob, scenario.bob_path_loss),
-            "resolution_bandwidth_hz": scenario.rbw_hz,
-            "compensate_dispersion": scenario.compensate_dispersion,
+    body: dict = {
+        "source": {
+            "pump_parameter": source.pump_parameter,
+            "bandwidth_hz": source.cavity_hwhm_hz * 2.0,
+            "bandwidth_convention": "fwhm",
+            "efficiency": source.efficiency,
+            "added_classical_noise": source.added_classical_noise,
+            "noise_cutoff_hz": source.noise_cutoff_hz,
         },
-        "seed": seed,
+        "alice": {**asdict(scenario.alice), "path_loss": scenario.alice_path_loss},
+        "bob": {**asdict(scenario.bob), "path_loss": scenario.bob_path_loss},
+        "resolution_bandwidth_hz": scenario.rbw_hz,
+        "compensate_dispersion": scenario.compensate_dispersion,
     }
     splitter = scenario.splitter
-    if isinstance(splitter, PerfectSplitter):
-        mapping["scenario"]["splitter"] = {
-            "kind": "perfect",
-            "center_hz": splitter.center_hz,
-            "halfwidth_hz": splitter.halfwidth_hz,
-        }
-    elif isinstance(splitter, FilterCavity):
-        mapping["scenario"]["splitter"] = {
-            "kind": "cavity",
-            "detuning_hz": splitter.detuning_hz,
-            "hwhm_hz": splitter.hwhm_hz,
-            "loss": splitter.loss,
-        }
-    return mapping
-
-
-def _channel_mapping(channel: HomodyneChannel, path_loss: float) -> dict:
-    return {
-        "lo_shift_hz": channel.lo_shift_hz,
-        "demod_freq_hz": channel.demod_freq_hz,
-        "lo_phase_rad": channel.lo_phase_rad,
-        "demod_phase_rad": channel.demod_phase_rad,
-        "efficiency": channel.efficiency,
-        "path_loss": path_loss,
-    }
+    if splitter is not None:
+        kind = "perfect" if isinstance(splitter, PerfectSplitter) else "cavity"
+        body["splitter"] = {"kind": kind, **asdict(splitter)}
+    return {"scenario": body, "seed": seed}

@@ -201,7 +201,6 @@ class SymplecticOp:
     """A linear symplectic transformation of the quadrature vector."""
 
     matrix: np.ndarray
-    kind: str = "general"
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -226,7 +225,7 @@ def rotation_op(n_modes: int, mode: int, theta: float) -> SymplecticOp:
     m = np.eye(2 * n_modes)
     c, s = np.cos(theta), np.sin(theta)
     m[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2] = [[c, -s], [s, c]]
-    return SymplecticOp(m, kind="rotation")
+    return SymplecticOp(m)
 
 
 def squeeze_op(n_modes: int, mode: int, r: float, angle: float = 0.0) -> SymplecticOp:
@@ -241,7 +240,7 @@ def squeeze_op(n_modes: int, mode: int, r: float, angle: float = 0.0) -> Symplec
         rot = np.array([[c, -s], [s, c]])
         core = rot @ core @ rot.T
     m[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2] = core
-    return SymplecticOp(m, kind="squeeze")
+    return SymplecticOp(m)
 
 
 def _realify(u: np.ndarray) -> np.ndarray:
@@ -257,12 +256,11 @@ def _realify(u: np.ndarray) -> np.ndarray:
     return m
 
 
-def mode_unitary_op(u: np.ndarray, kind: str = "beamsplitter") -> SymplecticOp:
+def mode_unitary_op(u: np.ndarray) -> SymplecticOp:
     """Symplectic op realizing a unitary mixing of annihilation operators.
 
     Args:
         u: Complex unitary matrix acting on the vector of mode operators.
-        kind: Tag stored on the resulting op.
 
     Raises:
         ValueError: if ``u`` is not unitary.
@@ -273,7 +271,7 @@ def mode_unitary_op(u: np.ndarray, kind: str = "beamsplitter") -> SymplecticOp:
     defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if defect > 1e-10:
         raise ValueError(f"mode transform is not unitary (defect {defect:.3e})")
-    return SymplecticOp(_realify(u), kind=kind)
+    return SymplecticOp(_realify(u))
 
 
 def beamsplitter_op(
@@ -301,7 +299,7 @@ def beamsplitter_op(
     u2 = np.array([[tau, rho], [-np.conj(rho), tau]])
     u = np.eye(n_modes, dtype=complex)
     u[np.ix_([mode_a, mode_b], [mode_a, mode_b])] = u2
-    return mode_unitary_op(u, kind="beamsplitter")
+    return mode_unitary_op(u)
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:

@@ -77,6 +77,15 @@ class SpectralModelError(ValueError):
     """The requested statistics cannot come from a stationary beam pair."""
 
 
+# Half width of the synthesized band around the demodulation frequency, in
+# units of the low-pass cutoff.
+_SYNTHESIS_HALFWIDTH_FACTOR = 4.0
+
+# Relative tolerance of the stationarity (circularity) checks on the
+# demodulation projections.
+_STATIONARITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class DspConfig:
     """Sampling and demodulation parameters of the validation pipeline.
@@ -90,9 +99,9 @@ class DspConfig:
         duration_s: Length of each synthesized record.
         transient_discard_s: Leading stretch dropped from the filtered
             series before any moment is taken, covering filter settling.
-        synthesis_halfwidth_factor: Half width of the synthesized band
-            around the demodulation frequency, in units of the low-pass
-            cutoff.
+
+    Records are synthesized over ``_SYNTHESIS_HALFWIDTH_FACTOR`` low-pass
+    cutoffs either side of the demodulation frequency.
     """
 
     sample_rate_hz: float = 2e6
@@ -102,7 +111,6 @@ class DspConfig:
     decimation: int = 4
     duration_s: float = 1.0
     transient_discard_s: float = 2e-3
-    synthesis_halfwidth_factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.sample_rate_hz <= 0 or self.duration_s <= 0:
@@ -112,7 +120,7 @@ class DspConfig:
                 "low-pass cutoff must lie between 0 and the demodulation "
                 "frequency"
             )
-        band_top = self.demod_freq_hz + self.synthesis_halfwidth_factor * self.lpf_cutoff_hz
+        band_top = self.synthesis_band_hz[1]
         if band_top >= self.sample_rate_hz / 2:
             raise ValueError(
                 f"analysis band reaches {band_top} Hz, beyond the Nyquist "
@@ -140,7 +148,7 @@ class DspConfig:
 
     @property
     def synthesis_band_hz(self) -> tuple[float, float]:
-        half = self.synthesis_halfwidth_factor * self.lpf_cutoff_hz
+        half = _SYNTHESIS_HALFWIDTH_FACTOR * self.lpf_cutoff_hz
         return (max(0.0, self.demod_freq_hz - half), self.demod_freq_hz + half)
 
 
@@ -182,7 +190,6 @@ def _projection_cov(state, u, v) -> float:
 def build_synthesis_spec(
     result: ChainResult,
     angle_offsets_rad: tuple[float, float] = (0.0, 0.0),
-    tol: float = 1e-9,
 ) -> NoiseSynthesisSpec:
     """Extract the flat-band cross-spectral density from a chain result.
 
@@ -190,7 +197,6 @@ def build_synthesis_spec(
         result: Output of :func:`eprmux.optics.run_chain`.
         angle_offsets_rad: Extra LO phases for the two parties, typically
             the output of the quadrature-angle optimization.
-        tol: Tolerance of the stationarity (circularity) checks.
 
     Raises:
         SpectralModelError: if the four demodulation projections do not have
@@ -230,7 +236,7 @@ def build_synthesis_spec(
         "Cov(I_A, Q_B) != -Cov(Q_A, I_B)": abs(c_iq + c_qi),
     }
     worst = max(defects, key=defects.get)
-    if defects[worst] > tol * scale:
+    if defects[worst] > _STATIONARITY_TOL * scale:
         raise SpectralModelError(
             f"demodulated statistics are not stationary: {worst} "
             f"(defect {defects[worst]:.3e})"
@@ -429,30 +435,34 @@ def demodulate_and_filter(
     return _demodulate(record, config, _lowpass_sos(config), carriers)
 
 
-def _tau2(series: np.ndarray, max_lag: int) -> float:
+# Autocorrelation range of the effective-sample count.
+_MAX_LAG = 400
+
+
+def _tau2(series: np.ndarray) -> float:
     """Autocorrelation-squared time: N_eff = N / tau2 for variance targets.
 
-    Long series are split into segments a few times ``max_lag`` long and the
-    segment periodograms averaged (Bartlett), which estimates the same
-    autocovariance out to ``max_lag`` at a fraction of the full-length FFT
-    cost.
+    The autocorrelation is summed out to ``_MAX_LAG``.  Long series are
+    split into segments a few times that long and the segment periodograms
+    averaged (Bartlett), which estimates the same autocovariance at a
+    fraction of the full-length FFT cost.
     """
     x = series - series.mean()
     n = x.size
     seg = 1
-    while seg < 8 * max_lag:
+    while seg < 8 * _MAX_LAG:
         seg *= 2
     if n >= 2 * seg:
         nseg = n // seg
         blocks = x[: nseg * seg].reshape(nseg, seg)
         f = np.fft.rfft(blocks, 2 * seg, axis=1)
-        acov = np.fft.irfft((f * np.conj(f)).mean(axis=0))[: max_lag + 1] / seg
+        acov = np.fft.irfft((f * np.conj(f)).mean(axis=0))[: _MAX_LAG + 1] / seg
     else:
         m = 1
         while m < 2 * n:
             m *= 2
         f = np.fft.rfft(x, m)
-        acov = np.fft.irfft(f * np.conj(f))[: max_lag + 1] / n
+        acov = np.fft.irfft(f * np.conj(f))[: _MAX_LAG + 1] / n
     if acov[0] <= 0:
         return 1.0
     rho = acov / acov[0]
@@ -486,15 +496,10 @@ def _moment_cov(va: float, vb: float, c: float, n_eff: float) -> np.ndarray:
     )
 
 
-# Autocorrelation range of the effective-sample count.
-_MAX_LAG = 400
-
-
 def estimate_entanglement(
     signal_iq: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     vacuum_iq: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     correlation_sign: int,
-    max_lag: int = _MAX_LAG,
 ) -> TrialEstimate:
     """Entanglement estimate from demodulated series, vacuum normalized.
 
@@ -504,7 +509,6 @@ def estimate_entanglement(
             shot-noise unit per detector.
         correlation_sign: From the synthesis spec; +1 evaluates the
             difference combinations, -1 the sums.
-        max_lag: Autocorrelation range for the effective-sample count.
 
     Error bars use the delta method with Gaussian fourth moments and an
     effective sample count ``N / tau2`` shared by all series (they pass the
@@ -513,12 +517,10 @@ def estimate_entanglement(
     covariance between I-block and Q-block moment errors (zero for a
     dispersion-free chain) is neglected.
     """
-    return _estimate(signal_iq, vacuum_iq, correlation_sign, max_lag, map)
+    return _estimate(signal_iq, vacuum_iq, correlation_sign, map)
 
 
-def _estimate(
-    signal_iq, vacuum_iq, correlation_sign: int, max_lag: int, map_fn
-) -> TrialEstimate:
+def _estimate(signal_iq, vacuum_iq, correlation_sign: int, map_fn) -> TrialEstimate:
     """Body of :func:`estimate_entanglement`; ``map_fn`` maps ``_tau2``
     over the four signal series."""
     i_a, q_a, i_b, q_b = (np.asarray(s, dtype=float) for s in signal_iq)
@@ -544,7 +546,7 @@ def _estimate(
     ci = float(np.mean(i_a * i_b)) / math.sqrt(n_a * n_b)
     cq = float(np.mean(q_a * q_b)) / math.sqrt(n_a * n_b)
 
-    tau2 = float(np.mean(list(map_fn(_tau2, (i_a, q_a, i_b, q_b), [max_lag] * 4))))
+    tau2 = float(np.mean(list(map_fn(_tau2, (i_a, q_a, i_b, q_b)))))
     n_eff = n / tau2
     n_eff_vac = vi_a.size / tau2
 
@@ -676,7 +678,7 @@ def _run_one_trial(
         ]
     (ia, qa), (ib, qb), (via, vqa), (vib, vqb) = (job.result() for job in jobs)
     return _estimate(
-        (ia, qa, ib, qb), (via, vqa, vib, vqb), spec.correlation_sign, _MAX_LAG, pool.map
+        (ia, qa, ib, qb), (via, vqa, vib, vqb), spec.correlation_sign, pool.map
     )
 
 
@@ -685,25 +687,22 @@ def run_montecarlo(
     config: DspConfig | None = None,
     n_trials: int = 10,
     seed: int = 0,
-    angle_offsets_rad: tuple[float, float] | None = None,
 ) -> McRunResult:
     """Monte-Carlo validation of one chain scenario.
 
     Each trial draws fresh records from an rng seeded ``seed + trial``, so
-    single trials can be reproduced in isolation.  When ``angle_offsets_rad``
-    is None the quadrature angles minimizing the difference variance are
-    found first, matching how the deterministic evaluation reports I.
+    single trials can be reproduced in isolation.  The records are
+    synthesized at the quadrature angles minimizing the difference
+    variance, matching how the deterministic evaluation reports I.
     """
     config = config or DspConfig()
     result = run_chain(scenario)
-    if angle_offsets_rad is None:
-        best = optimize_duan_angles(
-            result.state.cov,
-            (result.alice_x, result.alice_xp),
-            (result.bob_x, result.bob_xp),
-        )
-        angle_offsets_rad = (best.theta_a, best.theta_b)
-    spec = build_synthesis_spec(result, angle_offsets_rad)
+    best = optimize_duan_angles(
+        result.state.cov,
+        (result.alice_x, result.alice_xp),
+        (result.bob_x, result.bob_xp),
+    )
+    spec = build_synthesis_spec(result, (best.theta_a, best.theta_b))
     # Everything the jobs share is built here, once, before any dispatch.
     band = _band_slice(config, None)
     sos = _lowpass_sos(config)

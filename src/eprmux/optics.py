@@ -361,7 +361,7 @@ def apply_frequency_beam_splitter(
         u[np.ix_([k, anc], [k, anc])] = np.array([[t0, r], [r, t0]])
         if loss_t:
             losses.append((k, 1.0 - loss_t))
-    out = apply_symplectic(work, mode_unitary_op(u, kind="beamsplitter"))
+    out = apply_symplectic(work, mode_unitary_op(u))
     for mode, eta in losses:
         out = apply_loss(out, mode, eta)
     relabeled = tuple(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and config parsing."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from eprmux.mcdsp import estimate_entanglement, demodulate_and_filter, read_reco
 
 
 QUICK_MC = {"duration_s": 0.25, "n_trials": 2}
+
+HEADLINE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "single_channel.yaml"
 
 
 def run_cli(args):
@@ -146,7 +149,9 @@ class TestParseConfigDirectly:
         assert loaded.scenario.source.pump_parameter == pytest.approx(
             expected, rel=1e-15
         )
-        assert loaded.resolved["scenario"]["source"]["squeezing_db"] == -6.0
+        again = parse_config(loaded.resolved)
+        assert again.scenario == loaded.scenario
+        assert again.resolved == loaded.resolved
 
     def test_pump_and_db_together_rejected(self):
         mapping = self.base_mapping()
@@ -190,6 +195,90 @@ class TestParseConfigDirectly:
         }
         loaded = parse_config(mapping)
         assert loaded.scenario.splitter.hwhm_hz == pytest.approx(0.75e6)
+
+
+# Every accepted spelling of each configurable part of a run.
+SOURCE_FORMS = {
+    "pump": {"pump_parameter": 0.5},
+    "db": {"squeezing_db": -4.5},
+}
+BANDWIDTH_FORMS = {
+    "fwhm": {"bandwidth_hz": 25e6},
+    "hwhm": {"bandwidth_hz": 12.5e6, "bandwidth_convention": "hwhm"},
+    "flat": {"bandwidth_hz": math.inf},
+}
+SPLITTER_FORMS = {
+    "none": None,
+    "perfect": {"kind": "perfect", "center_hz": -7e6, "halfwidth_hz": 1e6},
+    "cavity-hwhm": {
+        "kind": "cavity",
+        "detuning_hz": -7e6,
+        "hwhm_hz": 7.5e5,
+        "loss": 0.01,
+    },
+    "cavity-linewidth": {"kind": "cavity", "detuning_hz": -7e6, "linewidth_hz": 1.5e6},
+    "cavity-finesse": {
+        "kind": "cavity",
+        "detuning_hz": -7e6,
+        "finesse": 300.0,
+        "round_trip_length_m": 0.5,
+    },
+}
+MONTECARLO_FORMS = {
+    "absent": None,
+    "present": {"duration_s": 0.5, "decimation": 2, "n_trials": 3},
+}
+
+
+@pytest.mark.parametrize("montecarlo", list(MONTECARLO_FORMS))
+@pytest.mark.parametrize("splitter", list(SPLITTER_FORMS))
+@pytest.mark.parametrize("bandwidth", list(BANDWIDTH_FORMS))
+@pytest.mark.parametrize("source", list(SOURCE_FORMS))
+def test_echo_parses_back_to_the_same_run(source, bandwidth, splitter, montecarlo):
+    def channel(lo_shift_hz, efficiency, path_loss):
+        return {
+            "lo_shift_hz": lo_shift_hz,
+            "demod_freq_hz": 2e5,
+            "lo_phase_rad": 0.3,
+            "efficiency": efficiency,
+            "path_loss": path_loss,
+        }
+
+    split = SPLITTER_FORMS[splitter]
+    # Without a splitter both parties read one beam and share its losses.
+    bob = channel(7e6, 0.8, 0.1) if split is None else channel(7e6, 0.7, 0.2)
+    mapping = {
+        "scenario": {
+            "source": {**SOURCE_FORMS[source], **BANDWIDTH_FORMS[bandwidth]},
+            "alice": channel(-7e6, 0.8, 0.1),
+            "bob": bob,
+        },
+        "seed": 3,
+    }
+    if split is not None:
+        mapping["scenario"]["splitter"] = dict(split)
+    if MONTECARLO_FORMS[montecarlo] is not None:
+        mapping["montecarlo"] = dict(MONTECARLO_FORMS[montecarlo])
+    loaded = parse_config(mapping)
+    again = parse_config(loaded.resolved)
+    assert again.scenario == loaded.scenario
+    assert again.dsp == loaded.dsp
+    assert again.n_trials == loaded.n_trials
+    assert again.seed == loaded.seed
+    assert again.resolved == loaded.resolved
+
+
+class TestHeadlineConfig:
+    def test_file_is_the_fit_output(self, capsys):
+        assert run_cli(["fit", "--target-i", "0.41", "--target-e", "0.64"]) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == HEADLINE_CONFIG.read_bytes()
+
+    def test_simulate_echoes_the_file_scenario(self, capsys):
+        assert run_cli(["simulate", str(HEADLINE_CONFIG)]) == 0
+        report = yaml.safe_load(capsys.readouterr().out)
+        document = yaml.safe_load(HEADLINE_CONFIG.read_text(encoding="utf-8"))
+        assert report["config"]["scenario"] == document["scenario"]
 
 
 class TestPlanCommand:
