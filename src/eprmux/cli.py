@@ -135,6 +135,13 @@ def _band(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"band edges must be numbers: {exc}")
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _cmd_simulate(args: argparse.Namespace) -> str:
     loaded = load_config(args.config)
     report = evaluate_scenario(loaded.scenario)
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument("config", help="path to a YAML configuration file")
     p_mc.add_argument(
-        "--seed", type=int, default=None, help="override the configured base seed"
+        "--seed", type=_seed, default=None, help="override the configured base seed"
     )
     p_mc.add_argument(
         "--export-records",
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measured conditional-variance product to reproduce",
     )
     p_fit.add_argument(
-        "--seed", type=int, default=None, help="seed stored in the emitted config"
+        "--seed", type=_seed, default=None, help="seed stored in the emitted config"
     )
     p_fit.add_argument(
         "--out", help="write the fitted config to this file instead of stdout"

@@ -77,7 +77,7 @@ class SidebandLabel:
     def __post_init__(self) -> None:
         if not self.rbw_hz > 0:
             raise ValueError(f"rbw_hz must be positive, got {self.rbw_hz}")
-        if abs(self.offset_hz) <= self.rbw_hz / 2:
+        if not abs(self.offset_hz) > self.rbw_hz / 2:  # NaN offsets too
             raise ValueError(
                 f"mode at {self.offset_hz} Hz with rbw {self.rbw_hz} Hz "
                 "would overlap the carrier"
@@ -98,14 +98,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
         s[2 * k, 2 * k + 1] = 1.0
         s[2 * k + 1, 2 * k] = -1.0
     return s
-
-
-def _default_labels(n_modes: int) -> tuple[SidebandLabel, ...]:
-    # Placeholder frequencies 1, 2, ... MHz; real chains attach meaningful ones.
-    return tuple(
-        SidebandLabel(offset_hz=float((k + 1) * 1e6), rbw_hz=1e3)
-        for k in range(n_modes)
-    )
 
 
 @dataclass(frozen=True)
@@ -134,10 +126,11 @@ class GaussianState:
         if n and np.max(np.abs(cov - cov.T)) > 1e-9 * scale:
             raise InvalidStateError("covariance matrix is not symmetric")
         cov = (cov + cov.T) / 2
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
-                if a.overlaps(b):
-                    raise LabelCollisionError(f"overlapping mode labels {a} and {b}")
+        # Bands that overlap on a path imply overlapping frequency neighbours.
+        ordered = sorted(labels, key=lambda lab: (lab.path, lab.offset_hz))
+        for a, b in zip(ordered, ordered[1:]):
+            if a.overlaps(b):
+                raise LabelCollisionError(f"overlapping mode labels {a} and {b}")
         mean = mean.copy()
         cov = cov.copy()
         mean.setflags(write=False)
@@ -190,7 +183,8 @@ class GaussianState:
 def vacuum(labels: Iterable[SidebandLabel] | int) -> GaussianState:
     """Vacuum state for the given labels (or for n anonymous modes)."""
     if isinstance(labels, int):
-        labels = _default_labels(labels)
+        # Placeholder frequencies 1, 2, ... MHz; real chains attach meaningful ones.
+        labels = (SidebandLabel(float((k + 1) * 1e6), 1e3) for k in range(labels))
     labels = tuple(labels)
     n = 2 * len(labels)
     return GaussianState(labels=labels, mean=np.zeros(n), cov=np.eye(n))

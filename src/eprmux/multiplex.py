@@ -9,6 +9,7 @@ resolution bands never overlap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,13 +102,18 @@ def plan_multiplex(
     as long as the occupancy stays inside the band.  An empty plan is a
     valid outcome for a band too narrow for a single channel.
     """
+    # Written as "not ..." so that NaN fails every test.
     lo, hi = float(band_hz[0]), float(band_hz[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"band must satisfy 0 < lower < upper, got {band_hz}")
-    if detection_bandwidth_hz <= 0:
-        raise ValueError("detection bandwidth must be positive")
-    if guard_hz < 0:
-        raise ValueError("guard interval must be >= 0")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"band must satisfy 0 < lower < upper < inf, got {band_hz}")
+    if not 0.0 < detection_bandwidth_hz < math.inf:
+        raise ValueError(
+            f"detection bandwidth must be positive and finite, got {detection_bandwidth_hz}"
+        )
+    if not 0.0 <= guard_hz < math.inf:
+        raise ValueError(f"guard interval must be >= 0 and finite, got {guard_hz}")
+    if not demod_hz > 0:
+        raise ValueError(f"demodulation frequency must be positive, got {demod_hz}")
     if demod_hz >= detection_bandwidth_hz:
         raise ValueError(
             "demodulation frequency must stay below the detection bandwidth, "
@@ -172,9 +178,14 @@ def validate_plan(
 ) -> PlanValidation:
     """Check that planned channels do not talk to each other.
 
-    Builds the joint state of every planned sideband, verifies that modes of
-    different channels carry no covariance, rejects occupancy overlaps, and
-    evaluates each channel's entanglement through its own chain.
+    Rejects occupancy overlaps, reports the largest covariance between modes
+    of different channels, and evaluates each channel's entanglement through
+    its own chain.
+
+    ``max_cross_channel_cov`` is taken over the source's joint sideband
+    state, before any splitter.  That state is block diagonal by
+    construction, so the figure is exactly 0; it does not model crosstalk
+    through the splitter cavities.
 
     Args:
         plan: Output of :func:`plan_multiplex`.
@@ -202,17 +213,12 @@ def validate_plan(
 
     all_pairs = [w for ch in plan.channels for w in ch.pair_frequencies_hz]
     joint = build_sideband_pairs_state(source, all_pairs, rbw_hz)
-    owner = {}
-    for ch in plan.channels:
-        for w in ch.sideband_quadruple_hz:
-            owner[joint.mode_index(w)] = ch.index
-    max_cross = 0.0
-    for i in range(joint.n_modes):
-        for j in range(joint.n_modes):
-            if owner[i] == owner[j]:
-                continue
-            block = joint.cov[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
-            max_cross = max(max_cross, float(np.max(np.abs(block))))
+    # The labels carry the very floats of pair_frequencies_hz, so the
+    # offsets are exact keys.
+    channel_of = {w: ch.index for ch in plan.channels for w in ch.sideband_quadruple_hz}
+    owner = np.repeat([channel_of[lab.offset_hz] for lab in joint.labels], 2)
+    cross = owner[:, None] != owner[None, :]
+    max_cross = float(np.max(np.abs(joint.cov), where=cross, initial=0.0))
 
     reports = tuple(
         evaluate_scenario(_channel_scenario(source, ch, splitter_hwhm_hz, rbw_hz))

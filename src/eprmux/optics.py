@@ -42,8 +42,6 @@ __all__ = [
     "linewidth_from_finesse",
     "cavity_transfer",
     "splitter_transfer",
-    "build_pair_state",
-    "build_four_mode_state",
     "build_sideband_pairs_state",
     "apply_frequency_beam_splitter",
     "demod_projection",
@@ -240,79 +238,37 @@ def splitter_transfer(splitter: Splitter, omega_hz: float) -> tuple[complex, com
     return cavity_transfer(splitter, omega_hz)
 
 
-def _pair_blocks(v_sq: float, v_anti: float) -> tuple[np.ndarray, np.ndarray]:
-    mean_v = (v_sq + v_anti) / 2.0
-    c = (v_sq - v_anti) / 2.0
-    diag = mean_v * np.eye(2)
-    cross = np.diag([c, -c])
-    return diag, cross
-
-
-def build_pair_state(
-    source: OpaSource, omega_hz: float, rbw_hz: float = 1e5, path: str = ""
-) -> GaussianState:
-    """Two-mode squeezed state of the sideband pair at +/-omega_hz.
-
-    The mode order is (-omega, +omega).  The sum quadrature
-    ``(X_+ + X_-)/sqrt(2)`` carries the squeezed variance of the source at
-    omega_hz and the orthogonal sum the antisqueezed one.
-    """
-    if omega_hz <= 0:
-        raise ValueError("pair frequency must be positive")
-    v_sq, v_anti = squeezing_spectrum(source, omega_hz)
-    diag, cross = _pair_blocks(v_sq, v_anti)
-    cov = np.block([[diag, cross], [cross, diag]])
-    labels = (
-        SidebandLabel(-omega_hz, rbw_hz, path),
-        SidebandLabel(+omega_hz, rbw_hz, path),
-    )
-    return GaussianState(labels=labels, mean=np.zeros(4), cov=cov)
-
-
 def build_sideband_pairs_state(
     source: OpaSource, omegas_hz: Sequence[float], rbw_hz: float = 1e5
 ) -> GaussianState:
     """Joint state of several independent sideband pairs of one source.
 
-    Modes are ordered by ascending signed frequency.  Pairs at different
-    Fourier frequencies of a below-threshold source are uncorrelated, so the
-    joint covariance is block diagonal in the pair basis.
+    Modes are ordered by ascending signed frequency: for m pairs, the pair
+    at the k-th lowest frequency sits at modes ``m - 1 - k`` (-omega) and
+    ``m + k`` (+omega).  Within a pair the sum quadrature
+    ``(X_+ + X_-)/sqrt(2)`` carries the squeezed variance of the source and
+    the orthogonal sum the antisqueezed one.  Pairs at different Fourier
+    frequencies of a below-threshold source are uncorrelated, so the joint
+    covariance is block diagonal in the pair basis.
     """
     omegas = sorted(float(w) for w in omegas_hz)
     if len(set(omegas)) != len(omegas):
         raise ValueError("pair frequencies must be distinct")
-    labels = []
-    for w in omegas:
-        if w <= 0:
-            raise ValueError("pair frequencies must be positive")
-        labels.append(SidebandLabel(-w, rbw_hz))
-        labels.append(SidebandLabel(+w, rbw_hz))
-    labels.sort(key=lambda lab: lab.offset_hz)
-    n = len(labels)
-    cov = np.eye(2 * n)
-    state = GaussianState(labels=tuple(labels), mean=np.zeros(2 * n), cov=cov)
-    cov = np.array(state.cov)
-    for w in omegas:
+    if not all(w > 0 for w in omegas):
+        raise ValueError("pair frequencies must be positive")
+    m = len(omegas)
+    labels = tuple(SidebandLabel(-w, rbw_hz) for w in reversed(omegas)) + tuple(
+        SidebandLabel(+w, rbw_hz) for w in omegas
+    )
+    cov = np.zeros((4 * m, 4 * m))
+    for k, w in enumerate(omegas):
         v_sq, v_anti = squeezing_spectrum(source, w)
-        diag, cross = _pair_blocks(v_sq, v_anti)
-        lo = state.mode_index(-w)
-        hi = state.mode_index(+w)
-        for m in (lo, hi):
-            cov[2 * m: 2 * m + 2, 2 * m: 2 * m + 2] = diag
-        cov[2 * lo: 2 * lo + 2, 2 * hi: 2 * hi + 2] = cross
-        cov[2 * hi: 2 * hi + 2, 2 * lo: 2 * lo + 2] = cross
-    return replace(state, cov=cov)
-
-
-def build_four_mode_state(
-    source: OpaSource, omega1_hz: float, omega2_hz: float, rbw_hz: float = 1e5
-) -> GaussianState:
-    """Four-mode squeezed state of the pairs at omega1_hz and omega2_hz.
-
-    Mode order is ascending in signed frequency:
-    (-omega2, -omega1, +omega1, +omega2) for omega1 < omega2.
-    """
-    return build_sideband_pairs_state(source, [omega1_hz, omega2_hz], rbw_hz)
+        c = (v_sq - v_anti) / 2.0
+        lo = slice(2 * (m - 1 - k), 2 * (m - k))
+        hi = slice(2 * (m + k), 2 * (m + k + 1))
+        cov[lo, lo] = cov[hi, hi] = (v_sq + v_anti) / 2.0 * np.eye(2)
+        cov[lo, hi] = cov[hi, lo] = np.diag([c, -c])
+    return GaussianState(labels=labels, mean=np.zeros(4 * m), cov=cov)
 
 
 @dataclass(frozen=True)
@@ -334,7 +290,9 @@ def apply_frequency_beam_splitter(
 ) -> FrequencySplitResult:
     """Split every sideband mode into transmitted and reflected components.
 
-    Each input mode is mixed with a fresh vacuum mode by the unitary
+    The input modes are tagged ``t`` and fresh vacuum modes at the same
+    frequencies are appended tagged ``r``.  Each input mode is mixed with its
+    vacuum mode by the unitary
     ``[[t0, r], [r, t0]]`` built from the splitter response at the mode's
     frequency; intracavity loss then acts on the transmitted component.  Both
     outputs are kept, so cross-path correlations remain exact.
@@ -342,33 +300,23 @@ def apply_frequency_beam_splitter(
     if any(lab.path for lab in state.labels):
         raise ValueError("input beam already carries path tags; cannot split again")
     n_in = state.n_modes
-    fresh = tuple(
-        SidebandLabel(lab.offset_hz, lab.rbw_hz, path="_anc") for lab in state.labels
+    tagged = replace(
+        state, labels=tuple(replace(lab, path=TRANSMITTED) for lab in state.labels)
     )
-    work = attach_vacuum(state, fresh)
+    work = attach_vacuum(tagged, (replace(lab, path=REFLECTED) for lab in state.labels))
     n = work.n_modes
-    losses = []
+    cavity = isinstance(splitter, FilterCavity)
+    loss = splitter.loss if cavity else 0.0
+    scale = math.sqrt(1.0 - loss)
     u = np.eye(n, dtype=complex)
     for k, lab in enumerate(state.labels):
         t, r = splitter_transfer(splitter, lab.offset_hz)
-        if isinstance(splitter, FilterCavity):
-            scale = math.sqrt(1.0 - splitter.loss)
-            t0 = t / scale if scale else t
-            loss_t = splitter.loss
-        else:
-            t0, loss_t = t, 0.0
-        anc = n_in + k
-        u[np.ix_([k, anc], [k, anc])] = np.array([[t0, r], [r, t0]])
-        if loss_t:
-            losses.append((k, 1.0 - loss_t))
+        t0 = t / scale if cavity else t
+        u[np.ix_([k, n_in + k], [k, n_in + k])] = np.array([[t0, r], [r, t0]])
     out = apply_symplectic(work, mode_unitary_op(u))
-    for mode, eta in losses:
-        out = apply_loss(out, mode, eta)
-    relabeled = tuple(
-        replace(lab, path=TRANSMITTED) if k < n_in else replace(lab, path=REFLECTED)
-        for k, lab in enumerate(out.labels)
-    )
-    out = replace(out, labels=relabeled)
+    if loss:
+        for mode in range(n_in):
+            out = apply_loss(out, mode, 1.0 - loss)
     return FrequencySplitResult(
         state=out,
         transmitted=tuple(range(n_in)),
@@ -565,8 +513,8 @@ def run_chain(scenario: ChainScenario) -> ChainResult:
     and detector efficiencies, then measurement projections.  The function is
     deterministic and leaves its inputs untouched.
     """
-    state = build_four_mode_state(
-        scenario.source, scenario.omega1_hz, scenario.omega2_hz, scenario.rbw_hz
+    state = build_sideband_pairs_state(
+        scenario.source, (scenario.omega1_hz, scenario.omega2_hz), scenario.rbw_hz
     )
     alice, bob = scenario.alice, scenario.bob
     if scenario.splitter is None:

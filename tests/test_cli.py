@@ -306,6 +306,22 @@ class TestPlanCommand:
         assert run_cli(["plan", "--band", "10e6:4e6", "--detbw", "5e5"]) == 3
         assert "band" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--detbw", "nan"],
+            ["--detbw", "5e5", "--guard", "nan"],
+            ["--detbw", "5e5", "--band", "4e6:inf"],
+            ["--detbw", "5e5", "--demod", "nan"],
+            ["--detbw", "5e5", "--demod=-1e5"],
+        ],
+    )
+    def test_non_finite_or_non_positive_input_exits_3(self, extra, capsys):
+        assert run_cli(["plan", "--band", "4e6:10e6", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_guardless_plan_validates_despite_rounded_centres(self, capsys):
         # With this lower edge the computed centres of channels 0 and 1 sit
         # 4.7e-10 Hz (one ulp of the first centre) closer than twice the
@@ -421,6 +437,24 @@ class TestMonteCarloCommand:
         assert "seed=11" in header
         csv_head = open(recdir / "signal_quadratures.csv").readline().strip()
         assert csv_head == "time_s,alice_i,alice_q,bob_i,bob_q"
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fit", "--target-i", "0.41", "--target-e", "0.64", "--seed", "-1"],
+            ["montecarlo", str(HEADLINE_CONFIG), "--seed", "-3"],
+        ],
+        ids=["fit", "montecarlo"],
+    )
+    def test_negative_seed_is_a_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "out.yaml"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputFormats:

@@ -59,6 +59,36 @@ class TestLabels:
         with pytest.raises(LabelCollisionError):
             vacuum(labels)
 
+    def test_nan_offset_rejected(self):
+        with pytest.raises(ValueError):
+            SidebandLabel(float("nan"), 1e5)
+
+    @given(
+        labels=st.lists(
+            st.builds(
+                SidebandLabel,
+                # Grid offsets and widths make bands that exactly touch common.
+                offset_hz=st.builds(
+                    lambda sign, hz: sign * hz,
+                    st.sampled_from([-1.0, 1.0]),
+                    st.integers(20, 400).map(lambda k: k * 5e3) | st.floats(1e5, 2e6),
+                ),
+                rbw_hz=st.sampled_from([1e4, 2e4, 5e4, 1e5, 1.5e5]) | st.floats(1e3, 1.5e5),
+                path=st.sampled_from(["", "t", "r"]),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_state_rejects_exactly_the_overlapping_label_sets(self, labels):
+        collides = any(a.overlaps(b) for i, a in enumerate(labels) for b in labels[i + 1:])
+        n = 2 * len(labels)
+        if collides:
+            with pytest.raises(LabelCollisionError):
+                GaussianState(tuple(labels), np.zeros(n), np.eye(n))
+        else:
+            assert GaussianState(tuple(labels), np.zeros(n), np.eye(n)).n_modes == len(labels)
+
 
 class TestStateBasics:
     def test_vacuum_cov_is_identity(self):

@@ -63,6 +63,28 @@ class TestPlanning:
         with pytest.raises(ValueError, match="demod"):
             plan_multiplex((4e6, 10e6), 0.5e6, demod_hz=0.6e6)
 
+    # Each of these used to hang the packing loop or plan NaN pair frequencies.
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"band_hz": (math.nan, 10e6)}, "band"),
+            ({"band_hz": (4e6, math.nan)}, "band"),
+            ({"band_hz": (4e6, math.inf)}, "band"),
+            ({"detection_bandwidth_hz": math.nan}, "bandwidth"),
+            ({"detection_bandwidth_hz": math.inf}, "bandwidth"),
+            ({"guard_hz": math.nan}, "guard"),
+            ({"guard_hz": math.inf}, "guard"),
+            ({"demod_hz": math.nan}, "demod"),
+            ({"demod_hz": 0.0}, "demod"),
+            ({"demod_hz": -1e5}, "demod"),
+        ],
+        ids=lambda v: str(v) if isinstance(v, dict) else None,
+    )
+    def test_non_finite_or_non_positive_input_rejected(self, kwargs, match):
+        args = {"band_hz": (4e6, 10e6), "detection_bandwidth_hz": 5e5, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            plan_multiplex(**args)
+
 
 class TestValidation:
     def setup_method(self):

@@ -23,8 +23,6 @@ from eprmux.optics import (
     OpaSource,
     PerfectSplitter,
     apply_frequency_beam_splitter,
-    build_four_mode_state,
-    build_pair_state,
     build_sideband_pairs_state,
     cavity_transfer,
     demod_projection,
@@ -183,7 +181,7 @@ class TestFilterCavity:
 class TestSidebandStates:
     def test_pair_block_structure(self):
         src = OpaSource(0.5)
-        state = build_pair_state(src, 7e6)
+        state = build_sideband_pairs_state(src, [7e6])
         v_sq, v_anti = squeezing_spectrum(src, 7e6)
         mean_v = (v_sq + v_anti) / 2
         c = (v_sq - v_anti) / 2
@@ -195,7 +193,7 @@ class TestSidebandStates:
 
     def test_sum_and_difference_quadratures(self):
         src = OpaSource(0.6726, cavity_hwhm_hz=12.5e6)
-        state = build_pair_state(src, 5e6)
+        state = build_sideband_pairs_state(src, [5e6])
         v_sq, v_anti = squeezing_spectrum(src, 5e6)
         s2 = 1 / math.sqrt(2)
         x_sum = np.array([s2, 0, s2, 0])
@@ -207,7 +205,7 @@ class TestSidebandStates:
 
     def test_four_mode_ordering_and_pair_independence(self):
         src = OpaSource(0.4)
-        state = build_four_mode_state(src, 6.8e6, 7.2e6)
+        state = build_sideband_pairs_state(src, [6.8e6, 7.2e6])
         offsets = [lab.offset_hz for lab in state.labels]
         assert offsets == [-7.2e6, -6.8e6, +6.8e6, +7.2e6]
         # Pairs at distinct Fourier frequencies stay uncorrelated.
@@ -227,10 +225,39 @@ class TestSidebandStates:
         with pytest.raises(ValueError, match="distinct"):
             build_sideband_pairs_state(OpaSource(0.3), [5e6, 5e6])
 
+    def test_unsorted_pairs_land_in_frequency_order(self):
+        src = OpaSource(
+            0.6, cavity_hwhm_hz=8e6, added_classical_noise=0.05, noise_cutoff_hz=5e6
+        )
+        state = build_sideband_pairs_state(src, [7.2e6, 4.5e6, 6.8e6], rbw_hz=2e4)
+        offsets = [lab.offset_hz for lab in state.labels]
+        assert offsets == [-7.2e6, -6.8e6, -4.5e6, 4.5e6, 6.8e6, 7.2e6]
+        assert {lab.rbw_hz for lab in state.labels} == {2e4}
+        assert {lab.path for lab in state.labels} == {""}
+        # Assemble the covariance by hand: mode i pairs with mode 5 - i.
+        expected = np.zeros((12, 12))
+        for i, w in enumerate([7.2e6, 6.8e6, 4.5e6]):
+            j = 5 - i
+            v_sq, v_anti = squeezing_spectrum(src, w)
+            mean_v, c = (v_sq + v_anti) / 2, (v_sq - v_anti) / 2
+            for m in (i, j):
+                expected[2 * m, 2 * m] = expected[2 * m + 1, 2 * m + 1] = mean_v
+            for a, b in ((i, j), (j, i)):
+                expected[2 * a, 2 * b] = c
+                expected[2 * a + 1, 2 * b + 1] = -c
+        np.testing.assert_array_equal(state.cov, expected)
+        np.testing.assert_array_equal(state.mean, np.zeros(12))
+        state.validate()
+
+    @pytest.mark.parametrize("omegas", [[0.0], [5e6, -5e6], [5e6, -1.0], [math.nan]])
+    def test_non_positive_pair_frequency_rejected(self, omegas):
+        with pytest.raises(ValueError, match="positive"):
+            build_sideband_pairs_state(OpaSource(0.3), omegas)
+
 
 class TestFrequencyBeamSplitter:
     def test_output_paths_and_ordering(self):
-        state = build_four_mode_state(OpaSource(0.5), 6.8e6, 7.2e6)
+        state = build_sideband_pairs_state(OpaSource(0.5), [6.8e6, 7.2e6])
         split = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=-7e6, hwhm_hz=0.75e6)
         )
@@ -246,7 +273,7 @@ class TestFrequencyBeamSplitter:
         out.validate()
 
     def test_photon_number_conserved_without_loss(self):
-        state = build_four_mode_state(OpaSource(0.7), 6.8e6, 7.2e6)
+        state = build_sideband_pairs_state(OpaSource(0.7), [6.8e6, 7.2e6])
         split = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=-7e6, hwhm_hz=0.75e6)
         )
@@ -258,7 +285,7 @@ class TestFrequencyBeamSplitter:
             assert n_out == pytest.approx(n_in, rel=1e-10, abs=1e-12)
 
     def test_intracavity_loss_removes_photons_resonantly(self):
-        state = build_four_mode_state(OpaSource(0.7), 6.8e6, 7.2e6)
+        state = build_sideband_pairs_state(OpaSource(0.7), [6.8e6, 7.2e6])
         lossy = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=-7e6, hwhm_hz=0.75e6, loss=0.05)
         )
@@ -273,7 +300,7 @@ class TestFrequencyBeamSplitter:
         assert n_out == pytest.approx(0.95 * n_in, rel=5e-3)
 
     def test_perfect_splitter_separates_cleanly(self):
-        state = build_four_mode_state(OpaSource(0.5), 6.8e6, 7.2e6)
+        state = build_sideband_pairs_state(OpaSource(0.5), [6.8e6, 7.2e6])
         split = apply_frequency_beam_splitter(
             state, PerfectSplitter(center_hz=-7e6, halfwidth_hz=1e6)
         )
@@ -289,11 +316,12 @@ class TestFrequencyBeamSplitter:
             assert mean_photons(out, split.transmitted[k]) == pytest.approx(0.0, abs=1e-12)
 
     def test_tagged_input_rejected(self):
-        state = build_pair_state(OpaSource(0.5), 7e6, path="t")
+        splitter = FilterCavity(detuning_hz=-7e6, hwhm_hz=1e6)
+        split = apply_frequency_beam_splitter(
+            build_sideband_pairs_state(OpaSource(0.5), [7e6]), splitter
+        )
         with pytest.raises(ValueError, match="path"):
-            apply_frequency_beam_splitter(
-                state, FilterCavity(detuning_hz=-7e6, hwhm_hz=1e6)
-            )
+            apply_frequency_beam_splitter(split.state, splitter)
 
     @given(
         detuning=st.floats(-1e7, 1e7),
@@ -302,7 +330,7 @@ class TestFrequencyBeamSplitter:
     )
     @settings(max_examples=25, deadline=None)
     def test_split_state_stays_physical(self, detuning, hwhm, x):
-        state = build_four_mode_state(OpaSource(x), 6.8e6, 7.2e6)
+        state = build_sideband_pairs_state(OpaSource(x), [6.8e6, 7.2e6])
         split = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=detuning, hwhm_hz=hwhm, loss=0.01)
         )
@@ -311,7 +339,7 @@ class TestFrequencyBeamSplitter:
 
 class TestDemodProjection:
     def setup_method(self):
-        self.state = build_four_mode_state(OpaSource(0.5), 6.8e6, 7.2e6)
+        self.state = build_sideband_pairs_state(OpaSource(0.5), [6.8e6, 7.2e6])
         self.channel = HomodyneChannel(lo_shift_hz=-7e6, demod_freq_hz=2e5)
 
     def test_unit_norm_and_support(self):
