@@ -330,7 +330,7 @@ def _cmd_fit(args: argparse.Namespace) -> str:
         f"# targets: inseparability={args.target_i!r} epr_product={args.target_e!r}\n"
         f"# achieved: inseparability={achieved.inseparability!r} "
         f"epr_product={achieved.epr_product!r}\n"
-        f"# residual={fit.residual!r} iterations={fit.iterations}\n"
+        f"# residual={fit.residual!r}\n"
     )
     return header + yaml.safe_dump(mapping, sort_keys=False, default_flow_style=False)
 

@@ -24,7 +24,6 @@ from .gaussian import GaussianState, ppt_min_symplectic_eigenvalue
 from .optics import ChainResult, ChainScenario, HomodyneChannel, OpaSource, PerfectSplitter, run_chain
 
 __all__ = [
-    "ConvergenceError",
     "InfeasibleTargetError",
     "JointSecondMoments",
     "EntanglementReport",
@@ -40,10 +39,6 @@ __all__ = [
     "epr_product_from_variances",
     "lumped_channel_scenario",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative numeric routine failed to reach its tolerance."""
 
 
 class InfeasibleTargetError(ValueError):
@@ -339,113 +334,102 @@ class FitResult:
     scenario: ChainScenario
     report: EntanglementReport
     residual: float
-    iterations: int
 
 
-# Residual norm at which the measurement fit stops, and its iteration budget.
+# Residual norm the measurement fit meets on its whole domain.
 _FIT_TOL = 1e-6
-_FIT_MAX_ITER = 60
+# Largest pump parameter the fit reaches: a pure-source squeezed variance of
+# about -46 dB.  A seeded sweep of fit targets meets _FIT_TOL up to this cap;
+# from about 0.999 on the pure state fails GaussianState.validate.
+_PUMP_MAX = 0.99
+# Pure-source squeezed variance at the cap, the least inseparability fitted.
+_V_SQ_MIN = ((1.0 - _PUMP_MAX) / (1.0 + _PUMP_MAX)) ** 2
+# A target this close outside the domain is moved onto its edge: it covers
+# the forward model's rounding (about 1e-11 at the cap) with a wide margin.
+_EDGE_TOL = 1e-9
 
 
 def _feasibility_bounds(target_i: float) -> tuple[float, float]:
-    """(min, sup) of attainable E at a given inseparability."""
+    """Attainable E band ``[e_pure, e_cap]`` at inseparability ``target_i``.
+
+    The fit's domain is the pump ``x`` in ``[0, _PUMP_MAX]`` and the lumped
+    efficiency ``eta`` in ``(0, 1]``.  With the pure-source variance
+    ``v_sq0(x) = ((1 - x) / (1 + x))**2`` the model gives
+    ``I = 1 - eta (1 - v_sq0)``, so ``I`` spans ``[v_sq0(_PUMP_MAX), 1]``.
+    At fixed ``I``, E rises with the pump: the pure source (``eta = 1``,
+    ``v_anti = 1 / I``) gives the floor ``e_pure = (2 I / (1 + I**2))**2``,
+    and the capped pump with ``eta(I) = (1 - I) / (1 - v_sq0(_PUMP_MAX))``,
+    i.e. ``v_anti = 1 + (1 - I) / v_sq0(_PUMP_MAX)``, gives the top.
+    """
     e_pure = (2.0 * target_i / (1.0 + target_i**2)) ** 2
-    return e_pure, 4.0 * target_i**2
+    e_cap = epr_product_from_variances(target_i, 1.0 + (1.0 - target_i) / _V_SQ_MIN)
+    return e_pure, e_cap
 
 
 def fit_to_measurements(target_i: float, target_e: float) -> FitResult:
-    """Find pump parameter and lumped efficiency reproducing (I, E).
+    """Pump parameter and lumped efficiency reproducing (I, E), in closed form.
 
-    Measured values map to effective squeezed/antisqueezed variances
-    ``v_sq = I`` and ``v_anti = sqrt(E) v_sq / (2 v_sq - sqrt(E))`` under
-    the symmetric lumped-loss model of :func:`lumped_channel_scenario`.
-    That closed form gives the starting point, which usually meets the
-    tolerance already; a damped Newton iteration on the forward-simulated
-    ``(I, E)`` polishes targets where it does not, e.g. next to the E
-    ceiling.  The last forward evaluation is the reported one.
+    Under the symmetric lumped-loss model of :func:`lumped_channel_scenario`
+    ``I`` is the effective squeezed variance and
+    ``sqrt(E) = 2 I v_anti / (I + v_anti)``.  With ``a = 1 - I`` and
+    ``b = v_anti - 1`` the loss enters both as ``a = eta (1 - v_sq0)`` and
+    ``b = eta (1 / v_sq0 - 1)``, so ``v_sq0 = a / b`` and
+
+        x = (sqrt(b) - sqrt(a)) / (sqrt(b) + sqrt(a)),    eta = a b / (b - a).
+
+    ``b = (sqrt(E) (1 + I) - 2 I) / (2 I - sqrt(E))`` keeps its accuracy
+    at both edges of the E band.  At the pure-state floor ``b = a / I``,
+    where ``b - a`` can round away, the fit is the pure source ``eta = 1``,
+    ``x = a / (1 + sqrt(I))**2`` (the vacuum at ``I = 1``).  The domain is
+    the one of :func:`_feasibility_bounds`; a target less than ``_EDGE_TOL``
+    outside it is moved onto its edge.  One forward evaluation gives the
+    report and the residual, which stays below ``_FIT_TOL`` on the whole
+    domain.
 
     Raises:
-        InfeasibleTargetError: if no ``(x, eta)`` can reach the targets.
-        ConvergenceError: if the iteration stalls above the tolerance.
+        InfeasibleTargetError: if the target lies outside the domain, naming
+            the bound it breaks.
     """
-    if not 0.0 < target_i <= 1.0:
+    if not _V_SQ_MIN - _EDGE_TOL <= target_i <= 1.0 + _EDGE_TOL:
         raise InfeasibleTargetError(
-            f"inseparability target must lie in (0, 1], got {target_i}"
+            f"inseparability target must lie in [{_V_SQ_MIN:.6g}, 1], got "
+            f"{target_i}; the floor is the pure source at the pump cap "
+            f"{_PUMP_MAX} ({-10.0 * math.log10(_V_SQ_MIN):.1f} dB)"
         )
-    e_lo, e_hi = _feasibility_bounds(target_i)
-    if target_i == 1.0:
-        if abs(target_e - 1.0) > 1e-12:
+    i = min(max(target_i, _V_SQ_MIN), 1.0)
+    e_lo, e_hi = _feasibility_bounds(i)
+    if not e_lo - _EDGE_TOL <= target_e <= e_hi + _EDGE_TOL:
+        if i == 1.0:
             raise InfeasibleTargetError(
                 "inseparability 1 admits only the vacuum with E = 1"
             )
-        scenario = lumped_channel_scenario(0.0, 1.0)
-        return FitResult(0.0, 1.0, scenario, evaluate_scenario(scenario), 0.0, 0)
-    if not e_lo - 1e-12 <= target_e < e_hi:
+        bound = (
+            f"below the pure-state floor {e_lo:.6g}"
+            if target_e < e_lo
+            else f"above the ceiling {e_hi:.6g} of the pump cap {_PUMP_MAX}"
+        )
         raise InfeasibleTargetError(
             f"EPR target {target_e} outside the attainable range "
-            f"[{e_lo:.6g}, {e_hi:.6g}) at inseparability {target_i}"
+            f"[{e_lo:.6g}, {e_hi:.6g}] at inseparability {target_i}: {bound}"
         )
-
-    # Closed-form seed from the effective-variance relations.
-    root_e = math.sqrt(max(target_e, e_lo))
-    v_anti = root_e * target_i / (2.0 * target_i - root_e)
-    rho = (v_anti - target_i) / (1.0 - target_i)
-    v_sq0 = 1.0 / (rho - 1.0)
-    eta = min(1.0, (1.0 - target_i) / (1.0 - v_sq0))
-    x = (1.0 - math.sqrt(v_sq0)) / (1.0 + math.sqrt(v_sq0))
-
-    def forward(p: np.ndarray) -> EntanglementReport:
-        return evaluate_scenario(lumped_channel_scenario(float(p[0]), float(p[1])))
-
-    def values(rep: EntanglementReport) -> np.ndarray:
-        return np.array([rep.inseparability, rep.epr_product])
-
-    target = np.array([target_i, target_e])
-    p = np.array([x, eta])
-    lo = np.array([0.0, 1e-6])
-    hi = np.array([1.0 - 1e-9, 1.0])
-    report = forward(p)
-    resid = values(report) - target
-    iterations = 0
-    while np.linalg.norm(resid) > _FIT_TOL:
-        if iterations >= _FIT_MAX_ITER:
-            raise ConvergenceError(
-                f"fit stalled at residual {np.linalg.norm(resid):.3e} "
-                f"after {iterations} iterations"
-            )
-        jac = np.empty((2, 2))
-        for k in range(2):
-            h = 1e-7 * max(abs(p[k]), 1e-3)
-            dp = np.zeros(2)
-            dp[k] = h
-            p_up = np.clip(p + dp, lo, hi)
-            p_dn = np.clip(p - dp, lo, hi)
-            jac[:, k] = (values(forward(p_up)) - values(forward(p_dn))) / (
-                p_up[k] - p_dn[k]
-            )
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular Jacobian in measurement fit") from exc
-        damp = 1.0
-        for _ in range(25):
-            cand = np.clip(p + damp * step, lo, hi)
-            cand_report = forward(cand)
-            cand_resid = values(cand_report) - target
-            if np.linalg.norm(cand_resid) < np.linalg.norm(resid):
-                p, report, resid = cand, cand_report, cand_resid
-                break
-            damp /= 2.0
-        else:
-            raise ConvergenceError(
-                f"fit cannot reduce residual {np.linalg.norm(resid):.3e}"
-            )
-        iterations += 1
+    root_e = math.sqrt(min(max(target_e, e_lo), e_hi))
+    a = 1.0 - i
+    b = (root_e * (1.0 + i) - 2.0 * i) / (2.0 * i - root_e)
+    if b - a > a * b:
+        eta = a * b / (b - a)
+        x = (math.sqrt(b) - math.sqrt(a)) / (math.sqrt(b) + math.sqrt(a))
+    else:
+        # The pure-state floor, where b - a rounds away; I = 1 is the vacuum.
+        eta = 1.0
+        x = a / (1.0 + math.sqrt(i)) ** 2
+    scenario = lumped_channel_scenario(x, eta)
+    report = evaluate_scenario(scenario)
     return FitResult(
-        pump_parameter=float(p[0]),
-        efficiency=float(p[1]),
-        scenario=lumped_channel_scenario(float(p[0]), float(p[1])),
+        pump_parameter=x,
+        efficiency=eta,
+        scenario=scenario,
         report=report,
-        residual=float(np.linalg.norm(resid)),
-        iterations=iterations,
+        residual=math.hypot(
+            report.inseparability - target_i, report.epr_product - target_e
+        ),
     )

@@ -33,6 +33,9 @@ __all__ = [
     "validate_plan",
 ]
 
+# Most channels one plan may hold.
+_MAX_CHANNELS = 100_000
+
 
 @dataclass(frozen=True)
 class ChannelPlan:
@@ -119,8 +122,16 @@ def plan_multiplex(
             "demodulation frequency must stay below the detection bandwidth, "
             f"got {demod_hz} >= {detection_bandwidth_hz}"
         )
-    channels = []
     pitch = 2.0 * detection_bandwidth_hz + guard_hz
+    # The plan holds floor(extra) + 1 channels; the loop keeps the exact
+    # float edge test, this bound only stops a band no plan should fill.
+    extra = (hi - lo - 2.0 * detection_bandwidth_hz) / pitch
+    if extra >= _MAX_CHANNELS:
+        raise ValueError(
+            f"band holds about {extra + 1.0:.3g} channels, more than the "
+            f"{_MAX_CHANNELS} a plan may hold"
+        )
+    channels = []
     i = 0
     while True:
         center = lo + detection_bandwidth_hz + i * pitch

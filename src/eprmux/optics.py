@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.constants import c as _C_LIGHT
 
 from .gaussian import (
     GaussianState,
@@ -51,6 +50,9 @@ __all__ = [
 
 TRANSMITTED = "t"
 REFLECTED = "r"
+
+# Speed of light in vacuum, exact in the SI (m/s).
+_C_LIGHT = 299_792_458.0
 
 
 class AboveThresholdError(ValueError):

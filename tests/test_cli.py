@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and config parsing."""
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,29 @@ class TestFitSimulateRoundTrip:
     def test_infeasible_targets_exit_3(self, capsys):
         assert run_cli(["fit", "--target-i", "0.2", "--target-e", "10"]) == 3
         assert "attainable" in capsys.readouterr().err
+
+    # Targets next to an edge of the E band: each fits to the fit tolerance
+    # or exits 3 naming the bound it breaks, never with another error.
+    @pytest.mark.parametrize(
+        "target_i, target_e, rc, message",
+        [
+            ("0.003641358821000554", "5.303797625311417e-05", 0, "# residual="),
+            ("0.999999996738553", "3.9999999739043437", 3, "ceiling"),
+            ("7.591946805483538e-05", "2.305506251891667e-08", 0, "# residual="),
+        ],
+    )
+    def test_edge_targets_fit_or_name_their_bound(
+        self, target_i, target_e, rc, message, capsys
+    ):
+        assert run_cli(["fit", "--target-i", target_i, "--target-e", target_e]) == rc
+        captured = capsys.readouterr()
+        if rc == 0:
+            header = captured.out.splitlines()[3]
+            assert header.startswith(message)
+            assert float(header.split("=")[1]) <= 1e-6
+        else:
+            assert captured.err.startswith("error: EPR target")
+            assert message in captured.err
 
 
 class TestConfigErrors:
@@ -305,6 +329,13 @@ class TestPlanCommand:
     def test_invalid_geometry_exits_3(self, capsys):
         assert run_cli(["plan", "--band", "10e6:4e6", "--detbw", "5e5"]) == 3
         assert "band" in capsys.readouterr().err
+
+    def test_unbounded_channel_count_exits_3_at_once(self, capsys):
+        t0 = time.perf_counter()
+        rc = run_cli(["plan", "--band", "4e6:1e13", "--detbw", "1", "--demod", "0.5"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3
+        assert "channels" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprmux import criteria
 from eprmux.criteria import (
-    ConvergenceError,
     EntanglementReport,
     InfeasibleTargetError,
     JointSecondMoments,
@@ -31,6 +31,7 @@ from eprmux.optics import (
     OpaSource,
     PerfectSplitter,
     run_chain,
+    squeezing_spectrum,
 )
 
 
@@ -369,3 +370,90 @@ class TestFit:
     def test_nonvacuum_targets_at_unit_inseparability_rejected(self):
         with pytest.raises(InfeasibleTargetError, match="vacuum"):
             fit_to_measurements(1.0, 1.5)
+
+    def test_inseparability_below_pump_cap_floor_rejected(self):
+        floor = criteria._V_SQ_MIN
+        with pytest.raises(InfeasibleTargetError, match="46.0 dB"):
+            fit_to_measurements(0.5 * floor, 0.5 * floor)
+
+    def test_epr_target_above_pump_cap_ceiling_rejected(self):
+        # Below the float ceiling 4 I^2 but above what the capped pump reaches.
+        with pytest.raises(InfeasibleTargetError, match="pump cap"):
+            fit_to_measurements(0.41, 4 * 0.41**2 - 1e-6)
+
+
+def cap_ceiling(target_i):
+    """E of the capped pump at inseparability target_i, via the source model."""
+    x = criteria._PUMP_MAX
+    v_sq0, _ = squeezing_spectrum(OpaSource(x, cavity_hwhm_hz=math.inf), 0.0)
+    eta = (1 - target_i) / (1 - v_sq0)
+    v_sq, v_anti = squeezing_spectrum(
+        OpaSource(x, cavity_hwhm_hz=math.inf, efficiency=eta), 0.0
+    )
+    return epr_product_from_variances(v_sq, v_anti)
+
+
+class TestFitDomain:
+    @pytest.fixture
+    def counted_forward(self, monkeypatch):
+        calls = []
+
+        def counted(scenario):
+            calls.append(scenario)
+            return evaluate_scenario(scenario)
+
+        monkeypatch.setattr(criteria, "evaluate_scenario", counted)
+        return calls
+
+    def test_seeded_sweep_fits_or_names_its_bound(self, counted_forward):
+        # I uniform, log-uniform and next to 1; E uniform below 4 I^2 and on
+        # either side of both edges of the capped band.  Targets within 1e-8
+        # of an edge may go either way; all others must fit or be rejected.
+        rng = np.random.default_rng(6)
+        floor = ((1 - criteria._PUMP_MAX) / (1 + criteria._PUMP_MAX)) ** 2
+        outcomes = {"fit": 0, "infeasible": 0}
+        for k in range(600):
+            i_draws = (
+                rng.uniform(0, 1),
+                10 ** rng.uniform(-6, 0),
+                1 - 10 ** rng.uniform(-12, -1),
+            )
+            target_i = float(i_draws[k % 3])
+            e_pure = (2 * target_i / (1 + target_i**2)) ** 2
+            e_cap = cap_ceiling(target_i) if target_i >= floor else e_pure
+            width = 4 * target_i**2 - e_pure
+            nudge = width * 10 ** rng.uniform(-14, -2) * rng.choice((-1, 1))
+            e_draws = (rng.uniform(e_pure, 4 * target_i**2), e_pure + nudge, e_cap + nudge)
+            target_e = float(e_draws[k // 3 % 3])
+            inside = floor + 1e-8 < target_i and e_pure + 1e-8 < target_e < e_cap - 1e-8
+            outside = target_i < floor - 1e-8 or not e_pure - 1e-8 < target_e < e_cap + 1e-8
+            counted_forward.clear()
+            try:
+                fit = fit_to_measurements(target_i, target_e)
+            except InfeasibleTargetError:
+                assert not inside, (target_i, target_e)
+                outcomes["infeasible"] += 1
+                continue
+            assert not outside, (target_i, target_e)
+            assert len(counted_forward) == 1
+            assert fit.residual <= criteria._FIT_TOL, (target_i, target_e)
+            assert abs(fit.report.inseparability - target_i) <= criteria._FIT_TOL
+            assert abs(fit.report.epr_product - target_e) <= criteria._FIT_TOL
+            outcomes["fit"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_round_trip_up_to_the_pump_cap(self):
+        # np.linspace ends exactly on the cap.
+        for x in np.linspace(0.0, criteria._PUMP_MAX, 12):
+            for eta in (1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.999, 1.0):
+                rep = evaluate_scenario(lumped_channel_scenario(float(x), eta))
+                fit = fit_to_measurements(rep.inseparability, rep.epr_product)
+                assert fit.residual <= criteria._FIT_TOL, (x, eta)
+                assert fit.report.inseparability == pytest.approx(
+                    rep.inseparability, abs=criteria._FIT_TOL
+                )
+                assert fit.report.epr_product == pytest.approx(
+                    rep.epr_product, abs=criteria._FIT_TOL
+                )
+                assert 0 <= fit.pump_parameter <= criteria._PUMP_MAX + 1e-9
+                assert 0 < fit.efficiency <= 1

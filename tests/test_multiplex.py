@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from eprmux import multiplex
 from eprmux.multiplex import ChannelPlan, MultiplexPlan, plan_multiplex, validate_plan
 from eprmux.optics import GeometryError, OpaSource
 
@@ -58,6 +59,17 @@ class TestPlanning:
             plan_multiplex((4e6, 10e6), 0.0)
         with pytest.raises(ValueError, match="guard"):
             plan_multiplex((4e6, 10e6), 0.5e6, guard_hz=-1.0)
+
+    def test_channel_count_is_bounded_before_packing(self):
+        # A band of exactly _MAX_CHANNELS channels of pitch 1 Hz packs; one
+        # more channel is rejected before any is built.
+        n = multiplex._MAX_CHANNELS
+        plan = plan_multiplex((1.0, 1.0 + n), 0.5, demod_hz=0.25)
+        assert plan.n_channels == n
+        with pytest.raises(ValueError, match="channels"):
+            plan_multiplex((1.0, 2.0 + n), 0.5, demod_hz=0.25)
+        with pytest.raises(ValueError, match="channels"):
+            plan_multiplex((4e6, 1e13), 1.0, demod_hz=0.5)
 
     def test_demod_beyond_detection_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="demod"):
