@@ -344,9 +344,16 @@ _FIT_TOL = 1e-6
 _PUMP_MAX = 0.99
 # Pure-source squeezed variance at the cap, the least inseparability fitted.
 _V_SQ_MIN = ((1.0 - _PUMP_MAX) / (1.0 + _PUMP_MAX)) ** 2
-# A target this close outside the domain is moved onto its edge: it covers
-# the forward model's rounding (about 1e-11 at the cap) with a wide margin.
-_EDGE_TOL = 1e-9
+
+
+def _edge_tol(bound: float) -> float:
+    """How far outside ``bound`` a fit target may lie and be moved onto it.
+
+    A millionth of the bound covers the forward model's rounding (6e-10 of
+    the I floor at the cap).  An absolute 1e-9 alone would accept a target a
+    third below the pure-state floor near the I floor, where E is about 3e-9.
+    """
+    return min(1e-9, 1e-6 * bound)
 
 
 def _feasibility_bounds(target_i: float) -> tuple[float, float]:
@@ -381,16 +388,16 @@ def fit_to_measurements(target_i: float, target_e: float) -> FitResult:
     at both edges of the E band.  At the pure-state floor ``b = a / I``,
     where ``b - a`` can round away, the fit is the pure source ``eta = 1``,
     ``x = a / (1 + sqrt(I))**2`` (the vacuum at ``I = 1``).  The domain is
-    the one of :func:`_feasibility_bounds`; a target less than ``_EDGE_TOL``
-    outside it is moved onto its edge.  One forward evaluation gives the
-    report and the residual, which stays below ``_FIT_TOL`` on the whole
-    domain.
+    the one of :func:`_feasibility_bounds`; a target outside it by less
+    than :func:`_edge_tol` of the bound it breaks is moved onto that bound.
+    One forward evaluation gives the report and the residual, which stays
+    below ``_FIT_TOL`` on the whole domain.
 
     Raises:
         InfeasibleTargetError: if the target lies outside the domain, naming
             the bound it breaks.
     """
-    if not _V_SQ_MIN - _EDGE_TOL <= target_i <= 1.0 + _EDGE_TOL:
+    if not _V_SQ_MIN - _edge_tol(_V_SQ_MIN) <= target_i <= 1.0 + _edge_tol(1.0):
         raise InfeasibleTargetError(
             f"inseparability target must lie in [{_V_SQ_MIN:.6g}, 1], got "
             f"{target_i}; the floor is the pure source at the pump cap "
@@ -398,7 +405,7 @@ def fit_to_measurements(target_i: float, target_e: float) -> FitResult:
         )
     i = min(max(target_i, _V_SQ_MIN), 1.0)
     e_lo, e_hi = _feasibility_bounds(i)
-    if not e_lo - _EDGE_TOL <= target_e <= e_hi + _EDGE_TOL:
+    if not e_lo - _edge_tol(e_lo) <= target_e <= e_hi + _edge_tol(e_hi):
         if i == 1.0:
             raise InfeasibleTargetError(
                 "inseparability 1 admits only the vacuum with E = 1"

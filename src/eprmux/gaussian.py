@@ -15,7 +15,7 @@ its input, so states may be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "apply_squeeze",
     "apply_two_mode_bs",
     "apply_mode_unitary",
+    "apply_passive",
     "apply_loss",
     "attach_vacuum",
     "project_quadrature",
@@ -44,7 +45,7 @@ __all__ = [
     "ppt_min_symplectic_eigenvalue",
 ]
 
-_SYM_TOL = 1e-12
+_OFFSET_RTOL = 1e-9
 
 
 class LabelCollisionError(ValueError):
@@ -143,12 +144,12 @@ class GaussianState:
     def n_modes(self) -> int:
         return len(self.labels)
 
-    def mode_index(self, offset_hz: float, path: str = "", rtol: float = 1e-9) -> int:
+    def mode_index(self, offset_hz: float, path: str = "") -> int:
         """Index of the mode at the given frequency offset on the given path."""
         for k, lab in enumerate(self.labels):
             if lab.path != path:
                 continue
-            tol = max(abs(offset_hz), abs(lab.offset_hz), 1.0) * rtol
+            tol = max(abs(offset_hz), abs(lab.offset_hz), 1.0) * _OFFSET_RTOL
             if abs(lab.offset_hz - offset_hz) <= tol:
                 return k
         raise KeyError(f"no mode at {offset_hz} Hz on path {path!r}")
@@ -238,10 +239,10 @@ def squeeze_op(n_modes: int, mode: int, r: float, angle: float = 0.0) -> Symplec
 
 
 def _realify(u: np.ndarray) -> np.ndarray:
-    """2n x 2n real quadrature matrix of an n x n complex mode transform."""
+    """2m x 2n real quadrature matrix of an m x n complex mode transform."""
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    m = np.zeros((2 * n, 2 * n))
+    rows, cols = u.shape
+    m = np.zeros((2 * rows, 2 * cols))
     a, b = u.real, u.imag
     m[0::2, 0::2] = a
     m[0::2, 1::2] = -b
@@ -334,10 +335,39 @@ def apply_mode_unitary(state: GaussianState, u: np.ndarray) -> GaussianState:
     return apply_symplectic(state, mode_unitary_op(u))
 
 
+def apply_passive(
+    state: GaussianState, transfer: np.ndarray, labels: Iterable[SidebandLabel]
+) -> GaussianState:
+    """Passive linear channel from the state's n modes to the m modes ``labels``.
+
+    ``transfer`` is the complex m x n amplitude matrix T of the splitters,
+    cavities, losses and efficiencies in between, composed by multiplying
+    their matrices.  With ``R`` its real quadrature form, ``mean -> R mean``
+    and ``cov -> R cov R^T + (1 - R R^T)``: what an output does not receive
+    from the inputs is vacuum.  With ``R = 1`` the state comes back unchanged
+    bit for bit.
+
+    Raises:
+        ValueError: if the shapes disagree, or if T is not a contraction
+            (largest eigenvalue of ``T T^dagger`` above 1 + 1e-10).
+    """
+    t = np.asarray(transfer, dtype=complex)
+    # The largest eigenvalue of T T^dagger is the largest singular value squared.
+    gain = float(np.linalg.svd(t, compute_uv=False)[0]) ** 2
+    if gain > 1.0 + 1e-10:
+        raise ValueError(
+            f"transfer is not a contraction: T T^dagger has eigenvalue {gain!r}"
+        )
+    r = _realify(t)
+    cov = r @ state.cov @ r.T + (np.eye(r.shape[0]) - r @ r.T)
+    return GaussianState(labels=labels, mean=r @ state.mean, cov=cov)
+
+
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """Pure loss channel on one mode with power transmission eta.
 
-    The mode's covariance block relaxes toward vacuum,
+    The passive channel whose transfer is the identity but ``sqrt(eta)`` on
+    ``mode``: the mode's covariance block relaxes toward vacuum,
     ``cov -> eta * cov + (1 - eta) * 1``, and its mean is scaled by
     ``sqrt(eta)``.  Two consecutive losses compose multiplicatively.
     """
@@ -345,14 +375,9 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
         raise ValueError(f"transmission must lie in [0, 1], got {eta}")
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode index {mode} out of range")
-    root = np.sqrt(eta)
-    g = np.ones(2 * state.n_modes)
-    g[2 * mode: 2 * mode + 2] = root
-    cov = state.cov * np.outer(g, g)
-    # Lost signal is replaced by vacuum on the diagonal block only.
-    sl = slice(2 * mode, 2 * mode + 2)
-    cov[sl, sl] += (1.0 - eta) * np.eye(2)
-    return replace(state, mean=state.mean * g, cov=cov)
+    transfer = np.eye(state.n_modes)
+    transfer[mode, mode] = np.sqrt(eta)
+    return apply_passive(state, transfer, state.labels)
 
 
 def attach_vacuum(state: GaussianState, labels: Iterable[SidebandLabel]) -> GaussianState:

@@ -17,14 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .gaussian import (
-    GaussianState,
-    SidebandLabel,
-    apply_loss,
-    apply_symplectic,
-    attach_vacuum,
-    mode_unitary_op,
-)
+from .gaussian import GaussianState, SidebandLabel, apply_passive
 
 __all__ = [
     "AboveThresholdError",
@@ -35,7 +28,6 @@ __all__ = [
     "HomodyneChannel",
     "ChainScenario",
     "ChainResult",
-    "FrequencySplitResult",
     "squeezing_spectrum",
     "finesse_from_transmissions",
     "linewidth_from_finesse",
@@ -273,57 +265,37 @@ def build_sideband_pairs_state(
     return GaussianState(labels=labels, mean=np.zeros(4 * m), cov=cov)
 
 
-@dataclass(frozen=True)
-class FrequencySplitResult:
-    """Output of the frequency beam splitter.
+def _split_transfer(
+    labels: Sequence[SidebandLabel], splitter: Splitter
+) -> tuple[np.ndarray, tuple[SidebandLabel, ...]]:
+    """A splitter's transfer ``diag(t)`` over ``diag(r)`` and its output labels.
 
-    ``state`` holds each input mode's transmitted and reflected components as
-    separate modes, tagged by path; ``transmitted``/``reflected`` list the
-    corresponding mode indices.
+    ``(t, r)`` is :func:`splitter_transfer` at each mode's frequency; a
+    cavity's ``t`` carries its intracavity loss.
     """
-
-    state: GaussianState
-    transmitted: tuple[int, ...]
-    reflected: tuple[int, ...]
+    t, r = np.array([splitter_transfer(splitter, lab.offset_hz) for lab in labels]).T
+    out = tuple(
+        replace(lab, path=p) for p in (TRANSMITTED, REFLECTED) for lab in labels
+    )
+    return np.concatenate([np.diag(t), np.diag(r)]), out
 
 
 def apply_frequency_beam_splitter(
     state: GaussianState, splitter: Splitter
-) -> FrequencySplitResult:
+) -> GaussianState:
     """Split every sideband mode into transmitted and reflected components.
 
-    The input modes are tagged ``t`` and fresh vacuum modes at the same
-    frequencies are appended tagged ``r``.  Each input mode is mixed with its
-    vacuum mode by the unitary
-    ``[[t0, r], [r, t0]]`` built from the splitter response at the mode's
-    frequency; intracavity loss then acts on the transmitted component.  Both
-    outputs are kept, so cross-path correlations remain exact.
+    For n input modes the output's modes ``0 .. n-1`` are their transmitted
+    components, tagged ``t``, and modes ``n .. 2n-1`` their reflected ones,
+    tagged ``r``.  The state goes through one passive map whose transfer is
+    ``diag(t)`` over ``diag(r)``; the vacuum at the splitter's open port and
+    its intracavity loss are that map's added noise.  Both outputs are kept,
+    so cross-path correlations remain exact.
     """
     if any(lab.path for lab in state.labels):
         raise ValueError("input beam already carries path tags; cannot split again")
-    n_in = state.n_modes
-    tagged = replace(
-        state, labels=tuple(replace(lab, path=TRANSMITTED) for lab in state.labels)
-    )
-    work = attach_vacuum(tagged, (replace(lab, path=REFLECTED) for lab in state.labels))
-    n = work.n_modes
-    cavity = isinstance(splitter, FilterCavity)
-    loss = splitter.loss if cavity else 0.0
-    scale = math.sqrt(1.0 - loss)
-    u = np.eye(n, dtype=complex)
-    for k, lab in enumerate(state.labels):
-        t, r = splitter_transfer(splitter, lab.offset_hz)
-        t0 = t / scale if cavity else t
-        u[np.ix_([k, n_in + k], [k, n_in + k])] = np.array([[t0, r], [r, t0]])
-    out = apply_symplectic(work, mode_unitary_op(u))
-    if loss:
-        for mode in range(n_in):
-            out = apply_loss(out, mode, 1.0 - loss)
-    return FrequencySplitResult(
-        state=out,
-        transmitted=tuple(range(n_in)),
-        reflected=tuple(range(n_in, n)),
-    )
+    transfer, labels = _split_transfer(state.labels, splitter)
+    return apply_passive(state, transfer, labels)
 
 
 @dataclass(frozen=True)
@@ -511,8 +483,12 @@ def _channel_path(splitter: Splitter, channel: HomodyneChannel) -> str:
 def run_chain(scenario: ChainScenario) -> ChainResult:
     """Propagate the four-mode state through the chain and build projections.
 
-    Order of operations: source state, frequency splitter, per-path losses
-    and detector efficiencies, then measurement projections.  The function is
+    Everything between source and detectors is passive, so the source state
+    goes through one :func:`eprmux.gaussian.apply_passive` whose transfer is,
+    right to left, the splitter's ``diag(t)`` over ``diag(r)`` (mode order
+    as in :func:`apply_frequency_beam_splitter`; the identity without a
+    splitter), then ``sqrt((1 - path_loss) * efficiency)`` per output path.
+    The projections act on that detector-plane state.  The function is
     deterministic and leaves its inputs untouched.
     """
     state = build_sideband_pairs_state(
@@ -521,13 +497,9 @@ def run_chain(scenario: ChainScenario) -> ChainResult:
     alice, bob = scenario.alice, scenario.bob
     if scenario.splitter is None:
         path_a = path_b = ""
-        eta = (1.0 - scenario.alice_path_loss) * alice.efficiency
-        if eta < 1.0:
-            for mode in range(state.n_modes):
-                state = apply_loss(state, mode, eta)
+        transfer, labels = np.eye(state.n_modes), state.labels
     else:
-        split = apply_frequency_beam_splitter(state, scenario.splitter)
-        state = split.state
+        transfer, labels = _split_transfer(state.labels, scenario.splitter)
         path_a = _channel_path(scenario.splitter, alice)
         path_b = _channel_path(scenario.splitter, bob)
         if path_a == path_b:
@@ -535,18 +507,6 @@ def run_chain(scenario: ChainScenario) -> ChainResult:
                 "both channels land on the same splitter output; check the "
                 "splitter detuning against the LO shifts"
             )
-        mode_sets = {
-            TRANSMITTED: split.transmitted,
-            REFLECTED: split.reflected,
-        }
-        for path, loss, chan in (
-            (path_a, scenario.alice_path_loss, alice),
-            (path_b, scenario.bob_path_loss, bob),
-        ):
-            eta = (1.0 - loss) * chan.efficiency
-            if eta < 1.0:
-                for mode in mode_sets[path]:
-                    state = apply_loss(state, mode, eta)
         if scenario.compensate_dispersion:
             alice = replace(
                 alice,
@@ -560,6 +520,13 @@ def run_chain(scenario: ChainScenario) -> ChainResult:
                     scenario.splitter, bob, path_b
                 ),
             )
+    # Without a splitter both parties share one path, loss and efficiency.
+    eta = {
+        path_a: (1.0 - scenario.alice_path_loss) * alice.efficiency,
+        path_b: (1.0 - scenario.bob_path_loss) * bob.efficiency,
+    }
+    gain = np.sqrt([eta[lab.path] for lab in labels])
+    state = apply_passive(state, gain[:, None] * transfer, labels)
 
     def modes_for(chan: HomodyneChannel, path: str) -> tuple[int, ...]:
         upper, lower = chan.addressed_offsets

@@ -381,6 +381,16 @@ class TestFit:
         with pytest.raises(InfeasibleTargetError, match="pump cap"):
             fit_to_measurements(0.41, 4 * 0.41**2 - 1e-6)
 
+    def test_epr_target_far_below_a_tiny_floor_rejected(self):
+        # Near the I floor E itself is about 3e-9: a target 0.9e-9 below the
+        # pure-state floor is a third of it, not a rounding error.
+        target_i = 2.6e-5
+        e_pure = (2 * target_i / (1 + target_i**2)) ** 2
+        with pytest.raises(InfeasibleTargetError, match="pure-state floor"):
+            fit_to_measurements(target_i, e_pure - 0.9e-9)
+        with pytest.raises(InfeasibleTargetError, match="pure-state floor"):
+            fit_to_measurements(target_i, e_pure * (1 - 1e-5))
+
 
 def cap_ceiling(target_i):
     """E of the capped pump at inseparability target_i, via the source model."""

@@ -15,6 +15,7 @@ from eprmux.gaussian import (
     SidebandLabel,
     apply_loss,
     apply_mode_unitary,
+    apply_passive,
     apply_rotation,
     apply_squeeze,
     apply_two_mode_bs,
@@ -243,6 +244,97 @@ class TestLoss:
     def test_loss_keeps_state_physical(self, eta1, eta2, r):
         state = apply_loss(apply_loss(two_mode_epr(r), 0, eta1), 1, eta2)
         state.validate(tol=1e-9)
+
+
+def numbered_labels(count):
+    return tuple(SidebandLabel((k + 1) * 1e6, 1e3) for k in range(count))
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, n):
+    """Thermal modes, squeezed along random axes, mixed and displaced."""
+    nu = np.repeat(1.0 + rng.exponential(0.5, n), 2)
+    state = GaussianState(numbered_labels(n), rng.normal(0.0, 2.0, 2 * n), np.diag(nu))
+    for mode in range(n):
+        r, angle = rng.uniform(0.0, 1.2), rng.uniform(0.0, np.pi)
+        state = apply_squeeze(state, mode, r, angle)
+    return apply_mode_unitary(state, random_unitary(rng, n))
+
+
+def unitary_dilation(state, transfer):
+    """Output of the contraction ``transfer`` as part of a unitary on more modes.
+
+    With ``A`` the transfer padded to k x k and ``A = W S V^dagger``, the
+    unitary ``[[A, W C W^dagger], [V C V^dagger, -A^dagger]]``,
+    ``C = sqrt(1 - S^2)``, acts on the input modes, vacuum padding and k
+    vacuum ancillas; the first m modes of its output are the channel's.
+    """
+    m, n = transfer.shape
+    k = max(m, n)
+    a = np.zeros((k, k), dtype=complex)
+    a[:m, :n] = transfer
+    w, s, vh = np.linalg.svd(a)
+    c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    d_out = (w * c) @ w.conj().T
+    d_in = (vh.conj().T * c) @ vh
+    u = np.block([[a, d_out], [d_in, -a.conj().T]])
+    big = attach_vacuum(state, numbered_labels(2 * k)[n:])
+    return apply_mode_unitary(big, u).reduced(range(m))
+
+
+class TestPassive:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 4),
+        norm=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_its_unitary_dilation(self, seed, n, m, norm):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, n)
+        g = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        transfer = norm * g / np.linalg.svd(g, compute_uv=False)[0]
+        out = apply_passive(state, transfer, numbered_labels(m))
+        ref = unitary_dilation(state, transfer)
+        assert out.labels == ref.labels
+        scale = max(1.0, float(np.max(np.abs(ref.cov))))
+        assert np.max(np.abs(out.cov - ref.cov)) <= 1e-12 * scale
+        assert np.max(np.abs(out.mean - ref.mean)) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(ref.mean)))
+        )
+        out.validate()
+
+    def test_identity_leaves_state_unchanged_bit_for_bit(self):
+        state = random_state(np.random.default_rng(3), 3)
+        out = apply_passive(state, np.eye(3), state.labels)
+        np.testing.assert_array_equal(out.cov, state.cov)
+        np.testing.assert_array_equal(out.mean, state.mean)
+
+    @pytest.mark.parametrize(
+        "transfer",
+        [
+            [[1.0, 0.0], [0.0, 1.0 + 1e-6]],
+            # Each entry is below 1, but the two inputs add up in one output.
+            [[0.8, 0.8]],
+            [[0.6], [0.6j], [0.6]],
+        ],
+    )
+    def test_non_contraction_rejected(self, transfer):
+        transfer = np.array(transfer)
+        state = random_state(np.random.default_rng(4), transfer.shape[1])
+        with pytest.raises(ValueError, match="contraction"):
+            apply_passive(state, transfer, numbered_labels(transfer.shape[0]))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            apply_passive(vacuum(2), np.eye(3), numbered_labels(3))
+        with pytest.raises(ValueError):
+            apply_passive(vacuum(2), np.eye(2), numbered_labels(3))
 
 
 class TestProjection:

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from eprmux.gaussian import project_quadrature
+from eprmux import optics
+from eprmux.gaussian import (
+    apply_loss,
+    apply_mode_unitary,
+    attach_vacuum,
+    project_quadrature,
+)
 from eprmux.optics import (
     AboveThresholdError,
     ChainScenario,
@@ -258,62 +264,58 @@ class TestSidebandStates:
 class TestFrequencyBeamSplitter:
     def test_output_paths_and_ordering(self):
         state = build_sideband_pairs_state(OpaSource(0.5), [6.8e6, 7.2e6])
-        split = apply_frequency_beam_splitter(
+        out = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=-7e6, hwhm_hz=0.75e6)
         )
-        out = split.state
         assert out.n_modes == 8
-        assert split.transmitted == (0, 1, 2, 3)
-        assert split.reflected == (4, 5, 6, 7)
-        for k in split.transmitted:
+        for k in range(4):
             assert out.labels[k].path == "t"
             assert out.labels[k].offset_hz == state.labels[k].offset_hz
-        for k in split.reflected:
+        for k in range(4, 8):
             assert out.labels[k].path == "r"
+            assert out.labels[k].offset_hz == state.labels[k - 4].offset_hz
         out.validate()
 
     def test_photon_number_conserved_without_loss(self):
         state = build_sideband_pairs_state(OpaSource(0.7), [6.8e6, 7.2e6])
+        n = state.n_modes
         split = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=-7e6, hwhm_hz=0.75e6)
         )
-        for k in range(state.n_modes):
+        for k in range(n):
             n_in = mean_photons(state, k)
-            n_out = mean_photons(split.state, split.transmitted[k]) + mean_photons(
-                split.state, split.reflected[k]
-            )
+            n_out = mean_photons(split, k) + mean_photons(split, n + k)
             assert n_out == pytest.approx(n_in, rel=1e-10, abs=1e-12)
 
     def test_intracavity_loss_removes_photons_resonantly(self):
         state = build_sideband_pairs_state(OpaSource(0.7), [6.8e6, 7.2e6])
+        n = state.n_modes
         lossy = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=-7e6, hwhm_hz=0.75e6, loss=0.05)
         )
-        lossy.state.validate()
+        lossy.validate()
         k = state.mode_index(-7.2e6)
         n_in = mean_photons(state, k)
-        n_out = mean_photons(lossy.state, lossy.transmitted[k]) + mean_photons(
-            lossy.state, lossy.reflected[k]
-        )
+        n_out = mean_photons(lossy, k) + mean_photons(lossy, n + k)
         assert n_out < n_in
         # Nearly all of this sideband is resonant, so close to 5% disappears.
         assert n_out == pytest.approx(0.95 * n_in, rel=5e-3)
 
     def test_perfect_splitter_separates_cleanly(self):
         state = build_sideband_pairs_state(OpaSource(0.5), [6.8e6, 7.2e6])
-        split = apply_frequency_beam_splitter(
+        n = state.n_modes
+        out = apply_frequency_beam_splitter(
             state, PerfectSplitter(center_hz=-7e6, halfwidth_hz=1e6)
         )
-        out = split.state
         for offset in (-7.2e6, -6.8e6):
             k = state.mode_index(offset)
-            assert mean_photons(out, split.transmitted[k]) == pytest.approx(
+            assert mean_photons(out, k) == pytest.approx(
                 mean_photons(state, k), rel=1e-12
             )
-            assert mean_photons(out, split.reflected[k]) == pytest.approx(0.0, abs=1e-12)
+            assert mean_photons(out, n + k) == pytest.approx(0.0, abs=1e-12)
         for offset in (+6.8e6, +7.2e6):
             k = state.mode_index(offset)
-            assert mean_photons(out, split.transmitted[k]) == pytest.approx(0.0, abs=1e-12)
+            assert mean_photons(out, k) == pytest.approx(0.0, abs=1e-12)
 
     def test_tagged_input_rejected(self):
         splitter = FilterCavity(detuning_hz=-7e6, hwhm_hz=1e6)
@@ -321,7 +323,7 @@ class TestFrequencyBeamSplitter:
             build_sideband_pairs_state(OpaSource(0.5), [7e6]), splitter
         )
         with pytest.raises(ValueError, match="path"):
-            apply_frequency_beam_splitter(split.state, splitter)
+            apply_frequency_beam_splitter(split, splitter)
 
     @given(
         detuning=st.floats(-1e7, 1e7),
@@ -334,7 +336,7 @@ class TestFrequencyBeamSplitter:
         split = apply_frequency_beam_splitter(
             state, FilterCavity(detuning_hz=detuning, hwhm_hz=hwhm, loss=0.01)
         )
-        split.state.validate()
+        split.validate()
 
 
 class TestDemodProjection:
@@ -508,3 +510,114 @@ class TestChain:
         fbs = FilterCavity(detuning_hz=0.0, hwhm_hz=1e5)
         with pytest.raises(GeometryError, match="same splitter output"):
             run_chain(symmetric_scenario(src, splitter=fbs))
+
+
+def random_chain(rng, splitter_kind):
+    """A single-channel chain with asymmetric losses and efficiencies."""
+    centre = rng.uniform(3e6, 12e6)
+    demod = rng.uniform(5e4, 5e5)
+    source = OpaSource(
+        rng.uniform(0.1, 0.9),
+        cavity_hwhm_hz=rng.uniform(5e6, 25e6),
+        efficiency=rng.uniform(0.8, 1.0),
+        added_classical_noise=rng.uniform(0.0, 0.2),
+    )
+    losses = rng.uniform(0.0, 0.3, 2)
+    effs = rng.uniform(0.5, 1.0, 2)
+    if splitter_kind == "cavity":
+        splitter = FilterCavity(
+            detuning_hz=-centre, hwhm_hz=demod * rng.uniform(0.5, 3.0),
+            loss=rng.uniform(0.0, 0.2),
+        )
+    elif splitter_kind == "perfect":
+        splitter = PerfectSplitter(center_hz=-centre, halfwidth_hz=demod * 2)
+    else:
+        splitter = None
+        losses[1], effs[1] = losses[0], effs[0]
+    channels = [
+        HomodyneChannel(
+            lo_shift_hz=sign * centre,
+            demod_freq_hz=demod,
+            lo_phase_rad=rng.uniform(0.0, 2 * math.pi),
+            demod_phase_rad=rng.uniform(0.0, 2 * math.pi),
+            efficiency=eff,
+        )
+        for sign, eff in ((-1, effs[0]), (+1, effs[1]))
+    ]
+    return ChainScenario(
+        source=source,
+        omega1_hz=centre - demod,
+        omega2_hz=centre + demod,
+        alice=channels[0],
+        bob=channels[1],
+        splitter=splitter,
+        alice_path_loss=losses[0],
+        bob_path_loss=losses[1],
+    )
+
+
+def composed_from_primitives(scenario, alice_path, bob_path):
+    """Detector-plane state built from primitives, one element at a time.
+
+    The splitter mixes each mode with its own vacuum port through the
+    unitary ``[[t0, r], [r, t0]]``, ``t0 = t / sqrt(1 - loss)``; the cavity
+    loss then acts on each transmitted mode, and the path losses and
+    efficiencies on every mode of each path, one ``apply_loss`` at a time.
+    """
+    state = build_sideband_pairs_state(
+        scenario.source, (scenario.omega1_hz, scenario.omega2_hz), scenario.rbw_hz
+    )
+    n = state.n_modes
+    splitter = scenario.splitter
+    if splitter is not None:
+        tagged = replace(
+            state, labels=tuple(replace(lab, path="t") for lab in state.labels)
+        )
+        state = attach_vacuum(tagged, (replace(lab, path="r") for lab in state.labels))
+        loss = getattr(splitter, "loss", 0.0)
+        u = np.eye(2 * n, dtype=complex)
+        for k, lab in enumerate(tagged.labels):
+            t, r = splitter_transfer(splitter, lab.offset_hz)
+            t0 = t / math.sqrt(1.0 - loss)
+            u[np.ix_([k, n + k], [k, n + k])] = [[t0, r], [r, t0]]
+        state = apply_mode_unitary(state, u)
+        for mode in range(n):
+            state = apply_loss(state, mode, 1.0 - loss)
+    etas = {
+        alice_path: (1 - scenario.alice_path_loss) * scenario.alice.efficiency,
+        bob_path: (1 - scenario.bob_path_loss) * scenario.bob.efficiency,
+    }
+    for mode, lab in enumerate(state.labels):
+        state = apply_loss(state, mode, etas[lab.path])
+    return state
+
+
+class TestPassiveChain:
+    @pytest.mark.parametrize("kind", ["cavity", "perfect", "none"])
+    def test_detector_state_equals_the_step_by_step_composition(self, kind):
+        rng = np.random.default_rng({"cavity": 11, "perfect": 12, "none": 13}[kind])
+        for _ in range(40):
+            scenario = random_chain(rng, kind)
+            result = run_chain(scenario)
+            ref = composed_from_primitives(
+                scenario, result.alice_path, result.bob_path
+            )
+            assert result.state.labels == ref.labels
+            scale = max(1.0, float(np.max(np.abs(ref.cov))))
+            np.testing.assert_allclose(
+                result.state.cov, ref.cov, rtol=0, atol=1e-12 * scale
+            )
+            np.testing.assert_array_equal(result.state.mean, ref.mean)
+
+    @pytest.mark.parametrize("kind", ["cavity", "perfect", "none"])
+    def test_run_chain_applies_one_passive_map(self, kind, monkeypatch):
+        original = optics.apply_passive
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optics, "apply_passive", counted)
+        run_chain(random_chain(np.random.default_rng(5), kind))
+        assert len(calls) == 1
